@@ -5,7 +5,8 @@
 //   - micro:           hot-loop timings (Package::Tick, full daemon step)
 //                      using the perf_util calibration discipline;
 //   - scaling:         Package::Tick at 8/64/128 cores (SoA tick engine
-//                      cost growth), one 4-socket Rack control period, and
+//                      cost growth), one control period of a 4-socket flat
+//                      rack (a one-level BudgetTree), and
 //                      the steady-state allocations-per-tick count, which
 //                      must be zero — the harness exits non-zero otherwise;
 //   - scenarios:       wall time of one representative scenario per policy,
@@ -64,16 +65,11 @@
 #include <utility>
 #include <vector>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
 #include <sys/resource.h>
 
 #include "bench/perf_util.h"
 #include "src/cluster/budget_tree.h"
 #include "src/cluster/fleet.h"
-#include "src/cluster/rack.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/common/thread_pool.h"
@@ -86,28 +82,7 @@
 #include "src/policy/daemon.h"
 #include "src/specsim/spec2017.h"
 #include "src/specsim/workload.h"
-
-// Global allocation counter for the steady-state zero-alloc assertion.
-// Counting is cheap enough to leave on for the whole binary; only the
-// scaling section reads deltas.
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace papd {
 namespace {
@@ -247,12 +222,11 @@ ScalingResult RunScaling(bool quick) {
     // The steady-state tick must not allocate (checked on the 8-core
     // package; the loop above doubles as warmup for caches and memos).
     if (spec.num_cores == 8) {
-      const long before = g_alloc_count.load(std::memory_order_relaxed);
+      const long before = AllocationCount();
       for (int t = 0; t < 1000; t++) {
         pkg.Tick(Seconds{0.001});
       }
-      out.steady_allocs_per_tick =
-          (g_alloc_count.load(std::memory_order_relaxed) - before + 999) / 1000;
+      out.steady_allocs_per_tick = (AllocationCount() - before + 999) / 1000;
     }
   }
 
@@ -295,10 +269,10 @@ ScalingResult RunScaling(bool quick) {
     out.tick_engine = {scalar, simd_row, multirate};
   }
 
-  // BM_RackTick: one arbiter period of a 4-socket Skylake rack, every-tick
-  // and multi-rate.
+  // BM_RackTick: one arbiter period of a 4-socket Skylake flat rack,
+  // every-tick and multi-rate.
   const auto measure_rack = [&](const TickOptions& tick, RackTiming* timing) {
-    RackConfig cfg;
+    std::vector<RackSocketConfig> sockets;
     for (int s = 0; s < 4; s++) {
       RackSocketConfig socket{.platform = SkylakeXeon4114()};
       socket.apps = ManyCoreSpreadMix(socket.platform.num_cores, s).apps;
@@ -306,11 +280,11 @@ ScalingResult RunScaling(bool quick) {
       socket.shares = 1.0;
       socket.seed = 42 + 100 * static_cast<uint64_t>(s);
       socket.use_baseline_ips = false;
-      cfg.sockets.push_back(socket);
+      sockets.push_back(socket);
     }
-    cfg.budget_w = Watts{200.0};
+    BudgetTreeConfig cfg = MakeFlatRack(std::move(sockets), Watts{200.0});
     cfg.tick = tick;
-    Rack rack(cfg);
+    BudgetTree rack(cfg);
     rack.Step();  // Warmup period.
     const int steps = quick ? 3 : 10;
     const Seconds start = perf::NowS();
@@ -481,14 +455,14 @@ Cluster100kTiming RunCluster100k(bool quick) {
 
   const int steps = quick ? 4 : 16;
   out.measured_steps = steps;
-  const long allocs_before = g_alloc_count.load(std::memory_order_relaxed);
+  const long allocs_before = AllocationCount();
   const Seconds start = perf::NowS();
   for (int s = 0; s < steps; s++) {
     tree.Step();
     out.max_grant_overrun_w = std::max(out.max_grant_overrun_w, tree.max_grant_overrun_w());
   }
   const double wall = (perf::NowS() - start).value();
-  const long allocs = g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
+  const long allocs = AllocationCount() - allocs_before;
   out.allocs_per_step = (allocs + steps - 1) / steps;
   out.live_leaves = tree.num_live_leaves();
   out.replica_hit_rate = tree.replica_hit_rate();
@@ -793,14 +767,14 @@ int WriteJson(const Options& opt, int jobs, const std::vector<MicroResult>& micr
     std::fprintf(f,
                  "    {\"policy\": \"%s\", \"wall_s\": %.4f, \"sim_s\": %.1f, "
                  "\"sim_s_per_wall_s\": %.1f}%s\n",
-                 JsonEscape(s.policy).c_str(), s.wall_s, s.sim_s, rate,
+                 JsonEscape(s.policy).c_str(), s.wall_s.value(), s.sim_s.value(), rate,
                  i + 1 < scenarios.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f, "  \"batch\": {\n");
   std::fprintf(f, "    \"count\": %zu,\n", batch_count);
-  std::fprintf(f, "    \"serial_wall_s\": %.4f,\n", serial_s);
-  std::fprintf(f, "    \"parallel_wall_s\": %.4f,\n", parallel_s);
+  std::fprintf(f, "    \"serial_wall_s\": %.4f,\n", serial_s.value());
+  std::fprintf(f, "    \"parallel_wall_s\": %.4f,\n", parallel_s.value());
   std::fprintf(f, "    \"speedup\": %.2f\n", parallel_s > Seconds{0.0} ? serial_s / parallel_s : 0.0);
   std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"cluster\": {\n");
@@ -862,8 +836,9 @@ int WriteJson(const Options& opt, int jobs, const std::vector<MicroResult>& micr
                  "    {\"schedule\": \"%s\", \"mode\": \"%s\", \"avg_pkg_w\": %.2f, "
                  "\"max_pkg_w\": %.2f, \"overshoot_w\": %.2f, \"invalid_samples\": %d, "
                  "\"fallback_periods\": %d, \"failed_programs\": %d, \"dropped_writes\": %d}%s\n",
-                 JsonEscape(r.schedule).c_str(), r.hardened ? "hardened" : "naive", r.avg_pkg_w,
-                 r.max_pkg_w, r.overshoot_w, r.invalid_samples, r.fallback_periods,
+                 JsonEscape(r.schedule).c_str(), r.hardened ? "hardened" : "naive",
+                 r.avg_pkg_w.value(), r.max_pkg_w.value(), r.overshoot_w.value(),
+                 r.invalid_samples, r.fallback_periods,
                  r.failed_programs, r.dropped_writes, i + 1 < faults.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
@@ -1084,7 +1059,8 @@ int Main(int argc, char** argv) {
   const std::vector<FaultRow> faults = RunFaultTolerance(opt.quick);
   for (const FaultRow& r : faults) {
     std::printf("  %-12s %-8s max %5.1f W overshoot %4.1f W invalid %3d fallback %3d\n",
-                r.schedule.c_str(), r.hardened ? "hardened" : "naive", r.max_pkg_w, r.overshoot_w,
+                r.schedule.c_str(), r.hardened ? "hardened" : "naive", r.max_pkg_w.value(),
+                r.overshoot_w.value(),
                 r.invalid_samples, r.fallback_periods);
   }
 

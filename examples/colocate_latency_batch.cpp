@@ -32,20 +32,21 @@ int main() {
   alone.with_cpuburn = false;
   const WebsearchResult r_alone = RunWebsearch(alone);
   std::printf("%-28s %12.1f %12.0f %12s\n", "websearch alone (RAPL)",
-              r_alone.p90_latency * 1e3, r_alone.websearch_avg_mhz, "-");
+              r_alone.p90_latency.value() * 1e3, r_alone.websearch_avg_mhz.value(), "-");
 
   WebsearchConfig rapl = base;
   rapl.policy = PolicyKind::kRaplOnly;
   const WebsearchResult r_rapl = RunWebsearch(rapl);
   std::printf("%-28s %12.1f %12.0f %12.0f\n", "+ cpuburn, RAPL only",
-              r_rapl.p90_latency * 1e3, r_rapl.websearch_avg_mhz, r_rapl.cpuburn_avg_mhz);
+              r_rapl.p90_latency.value() * 1e3, r_rapl.websearch_avg_mhz.value(),
+              r_rapl.cpuburn_avg_mhz.value());
 
   WebsearchConfig share = base;
   share.policy = PolicyKind::kFrequencyShares;  // 90/10 shares by default.
   const WebsearchResult r_share = RunWebsearch(share);
   std::printf("%-28s %12.1f %12.0f %12.0f\n", "+ cpuburn, freq shares 90/10",
-              r_share.p90_latency * 1e3, r_share.websearch_avg_mhz,
-              r_share.cpuburn_avg_mhz);
+              r_share.p90_latency.value() * 1e3, r_share.websearch_avg_mhz.value(),
+              r_share.cpuburn_avg_mhz.value());
 
   std::printf(
       "\nRAPL alone lets the virus inflate websearch's p90 by %.1fx; the share\n"

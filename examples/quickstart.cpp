@@ -52,12 +52,12 @@ int main() {
 
   // 5. Inspect the outcome through the daemon's telemetry history.
   const auto& record = daemon.history().back();
-  std::printf("after %2.0f s under a 22 W limit:\n", sim.now());
-  std::printf("  package power      %5.1f W\n", record.sample.pkg_w);
+  std::printf("after %2.0f s under a 22 W limit:\n", sim.now().value());
+  std::printf("  package power      %5.1f W\n", record.sample.pkg_w.value());
   for (const ManagedApp& app : apps) {
     const auto& core = record.sample.cores[static_cast<size_t>(app.cpu)];
     std::printf("  %-11s (%2.0f shares)  %4.0f MHz  %5.2f Ginstr/s\n", app.name.c_str(),
-                app.shares, core.active_mhz, core.ips / 1e9);
+                app.shares, core.active_mhz.value(), core.ips.value() / 1e9);
   }
   return 0;
 }

@@ -158,9 +158,7 @@ BudgetTree::BudgetTree(BudgetTreeConfig config) : config_(std::move(config)) {
     if (cls >= 0 && classes_[static_cast<size_t>(cls)].rep != leaf) {
       continue;  // Memoized replica: no stack until its grant diverges.
     }
-    node.stack = std::make_unique<SocketStack>(*node.socket_cfg, config_.control_period_s,
-                                               config_.tick_s, node.grant_w, config_.obs,
-                                               static_cast<int16_t>(leaf), config_.tick);
+    node.stack = MakeLeafStack(leaf, node.grant_w);
   }
   // now() and measurement fan-out rely on the first leaf being live; the
   // first leaf in pre-order is the representative of its own class.
@@ -214,6 +212,19 @@ void BudgetTree::BuildReplicaClasses() {
 }
 
 BudgetTree::~BudgetTree() = default;
+
+std::unique_ptr<SocketStack> BudgetTree::MakeLeafStack(int node, Watts grant_w) const {
+  const RackSocketConfig& socket = *nodes_[static_cast<size_t>(node)].socket_cfg;
+  DaemonConfig dcfg;
+  dcfg.kind = socket.policy;
+  dcfg.power_limit_w = grant_w;
+  dcfg.period_s = config_.control_period_s;
+  dcfg.audit = socket.audit;
+  // Shard = flat node index, so a shared recorder splits the tree back into
+  // one track per node (leaf daemons and arbiter grants alike).
+  dcfg.obs = DaemonObs{.sink = config_.obs, .shard = static_cast<int16_t>(node)};
+  return std::make_unique<SocketStack>(socket, dcfg, FaultPlan{}, config_.tick_s, config_.tick);
+}
 
 int BudgetTree::num_nodes() const { return static_cast<int>(nodes_.size()); }
 
@@ -343,9 +354,7 @@ void BudgetTree::MaterializeLeaf(int node) {
   // stepped through the log is bit-identical to one that had been live from
   // construction.
   const Watts initial = cls.grant_log.empty() ? n.grant_w : cls.grant_log.front().grant_w;
-  n.stack = std::make_unique<SocketStack>(*n.socket_cfg, config_.control_period_s, config_.tick_s,
-                                          initial, config_.obs, static_cast<int16_t>(node),
-                                          config_.tick);
+  n.stack = MakeLeafStack(node, initial);
   int64_t replayed = 0;
   for (const GrantRun& run : cls.grant_log) {
     for (int64_t p = 0; p < run.periods; p++, replayed++) {
@@ -657,6 +666,21 @@ BudgetTreeResult RunBudgetTree(const BudgetTreeConfig& config, Seconds warmup_s,
   result.avg_arbiter_wall_s /= measure_periods;
   result.measured_s = tree.now() - start_s;
   return result;
+}
+
+BudgetTreeConfig MakeFlatRack(std::vector<RackSocketConfig> sockets, Watts budget_w) {
+  PAPD_CHECK(!sockets.empty());
+  BudgetTreeConfig config;
+  config.budget_w = budget_w;
+  config.root.name = "rack";
+  for (size_t s = 0; s < sockets.size(); s++) {
+    BudgetNodeConfig leaf;
+    leaf.name = "socket" + std::to_string(s);
+    leaf.shares = sockets[s].shares;
+    leaf.socket = std::move(sockets[s]);
+    config.root.children.push_back(std::move(leaf));
+  }
+  return config;
 }
 
 BudgetTreeConfig MakeUniformCluster(int rows, int racks_per_row, int sockets_per_rack,

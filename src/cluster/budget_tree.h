@@ -1,14 +1,14 @@
 // Hierarchical power delivery: one budget, recursively split down a tree.
 //
-// The paper's min-funding share framework stops at a single socket, and the
-// Rack layer stops at one flat rack.  Real deployments cap power at every
-// level of the physical distribution hierarchy — breaker panels feed rows,
-// rows feed racks, racks feed sockets — and FastCap-style cluster managers
-// enforce a datacenter cap by re-splitting budgets hierarchically each
-// period.  BudgetTree is that generalization: leaf nodes are the per-socket
-// stacks a Rack runs (SocketStack), interior nodes (rack, row, datacenter)
-// each run the *same* shares/demand min-funding arbiter over their
-// children, and each control period
+// The paper's min-funding share framework stops at a single socket.  Real
+// deployments cap power at every level of the physical distribution
+// hierarchy — breaker panels feed rows, rows feed racks, racks feed sockets
+// — and FastCap-style cluster managers enforce a datacenter cap by
+// re-splitting budgets hierarchically each period.  BudgetTree is that
+// hierarchy: leaf nodes are per-socket stacks (SocketStack), interior nodes
+// (rack, row, datacenter) each run the *same* shares/demand min-funding
+// arbiter over their children — a flat rack is the one-level case
+// (MakeFlatRack) — and each control period
 //
 //   1. every leaf advances one period of simulated time (fanned out on the
 //      ThreadPool; leaves share no mutable state, so parallel results are
@@ -241,6 +241,9 @@ class BudgetTree {
   // Divergence checks + grant-log append for the period about to run.
   void PrepareMemoPeriod();
   void MaterializeLeaf(int node);
+  // Builds leaf `node`'s socket under `grant_w`: the one place a leaf's
+  // daemon is configured, so a materialized replica matches a live leaf.
+  std::unique_ptr<SocketStack> MakeLeafStack(int node, Watts grant_w) const;
   void EnsureShardTeam(int threads);
   void AdvanceLiveLeaves(ThreadPool* pool);
   void RecordHistory();
@@ -295,6 +298,12 @@ struct BudgetTreeResult {
 
 BudgetTreeResult RunBudgetTree(const BudgetTreeConfig& config, Seconds warmup_s,
                                Seconds measure_s, ThreadPool* pool = nullptr);
+
+// A flat rack: root "rack" with one leaf "socket{i}" per socket (leaf i is
+// flat node i + 1), each leaf taking its socket's `shares` as its share
+// weight — one budget split across sockets by the same arbiter every tree
+// level runs.
+BudgetTreeConfig MakeFlatRack(std::vector<RackSocketConfig> sockets, Watts budget_w);
 
 // A uniform rows x racks x sockets topology ("dc/row{r}/rack{k}/socket{s}")
 // with every socket cloned from `socket_proto`.  By default seeds are

@@ -146,17 +146,15 @@ void ValidateSocketBudgetBounds(const RackSocketConfig& cfg) {
       << "); fix min_budget_w/max_budget_w";
 }
 
-SocketStack::SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds tick_s,
-                         Watts initial_budget_w, ObsSink* obs_sink, int16_t shard,
-                         const TickOptions& tick)
+SocketStack::SocketStack(const RackSocketConfig& cfg, const DaemonConfig& daemon_cfg,
+                         const FaultPlan& faults, Seconds tick_s, const TickOptions& tick)
     : config(cfg), pkg(cfg.platform), msr(&pkg), sim(&pkg, tick_s) {
   PAPD_CHECK_LE(static_cast<int>(cfg.apps.size()), cfg.platform.num_cores);
-  ValidateSocketBudgetBounds(cfg);
   pkg.SetTickPolicy(tick.policy, tick.max_hold_ticks);
   std::vector<ManagedApp> managed;
   if (cfg.websearch) {
-    // Serving socket: open-loop websearch on all-but-one core, mirroring
-    // RunWebsearch's layout (optionally a cpuburn virus on the last core).
+    // Serving socket: websearch on all-but-one core, optionally a cpuburn
+    // virus on the last core.
     PAPD_CHECK(cfg.apps.empty()) << " websearch sockets take no app mix";
     const int burn_cpu = cfg.platform.num_cores - 1;
     std::vector<int> ws_cores;
@@ -203,20 +201,16 @@ SocketStack::SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds 
                               : Ips{0.0},
       });
     }
+    // Unmanaged (empty) cores idle at the minimum P-state.
     for (int c = static_cast<int>(cfg.apps.size()); c < pkg.num_cores(); c++) {
       pkg.SetRequestedMhz(c, cfg.platform.min_mhz);
     }
   }
 
-  DaemonConfig dcfg;
-  dcfg.kind = cfg.policy;
-  dcfg.power_limit_w = initial_budget_w;
-  dcfg.period_s = period_s;
-  dcfg.audit = cfg.audit;
-  // Shard-tagged events: each socket daemon stamps its own index, so a
-  // shared recorder can split the rack/cluster back into per-socket tracks.
-  dcfg.obs = DaemonObs{.sink = obs_sink, .shard = shard};
-  daemon = std::make_unique<PowerDaemon>(&msr, std::move(managed), dcfg);
+  if (faults.Any()) {
+    msr.EnableFaults(faults);
+  }
+  daemon = std::make_unique<PowerDaemon>(&msr, std::move(managed), daemon_cfg);
   daemon->Start();
   tick_opts_ = tick;
   hold_mode = tick.socket_hold && tick.policy == TickPolicy::kMultiRate;
@@ -225,8 +219,8 @@ SocketStack::SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds 
     // periods can skip it); nothing is registered with the simulator.
     last_limit_w_ = daemon->config().power_limit_w;
     held_epoch_ = pkg.control_epoch();
-  } else {
-    sim.AddPeriodic(period_s, [this](Seconds) { daemon->Step(); });
+  } else if (daemon_cfg.kind != PolicyKind::kStatic) {
+    sim.AddPeriodic(daemon_cfg.period_s, [this](Seconds) { daemon->Step(); });
   }
 }
 

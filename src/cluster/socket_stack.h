@@ -1,12 +1,13 @@
-// The per-socket simulation stack shared by the rack arbiter and the
-// cluster budget tree.
+// The per-socket simulation stack: the one place a socket is built.
 //
-// A SocketStack is one full per-socket pipeline, mirroring RunScenario's
-// stack: the package, its MSR surface, the pinned processes, the policy
-// daemon, and a simulator driving ticks + periodic daemon steps.  Stacks
-// share nothing mutable, so a rack (or a budget tree's leaf set) can
-// advance them on worker threads without synchronization and stay
-// bit-identical to a serial run.
+// A SocketStack is one full per-socket pipeline: the package, its MSR
+// surface (with the caller's fault plan armed), the pinned processes or
+// websearch service, the policy daemon, and a simulator driving ticks +
+// periodic daemon steps.  The experiment drivers (RunScenario,
+// RunWebsearch) window and reduce one stack; the budget tree advances one
+// per leaf.  Stacks share nothing mutable, so a tree's leaf set can advance
+// on worker threads without synchronization and stay bit-identical to a
+// serial run.
 
 #ifndef SRC_CLUSTER_SOCKET_STACK_H_
 #define SRC_CLUSTER_SOCKET_STACK_H_
@@ -19,6 +20,7 @@
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
 #include "src/experiments/harness.h"
+#include "src/msr/fault_plan.h"
 #include "src/msr/msr.h"
 #include "src/policy/daemon.h"
 #include "src/specsim/websearch.h"
@@ -26,8 +28,7 @@
 
 namespace papd {
 
-// How a budget arbiter (rack or tree node) sizes each child's claim before
-// distributing.
+// How a budget-tree node sizes each child's claim before distributing.
 enum class RackArbiterKind {
   // Pure share-proportional split between each child's floor and ceiling.
   kShares,
@@ -49,13 +50,16 @@ inline constexpr int kNumRackArbiterKinds = 3;
 // registry-completeness rule like the other registered enums.
 const char* RackArbiterKindName(RackArbiterKind kind);
 
-// One socket of a rack or budget tree: a platform running a fixed app mix
-// under its own PowerDaemon.
+// One socket of a budget tree (or of one experiment run): a platform running
+// a fixed app mix under its own PowerDaemon.  SocketStack reads the platform,
+// workload and seed fields; the budget tree reads the rest (policy, audit,
+// shares and bounds) when it configures a leaf's daemon and arbitrates.
 struct RackSocketConfig {
   PlatformSpec platform;
   std::vector<AppSetup> apps;
   PolicyKind policy = PolicyKind::kFrequencyShares;
-  // Arbiter share weight for budget splits.
+  // Arbiter share weight for budget splits (MakeFlatRack copies it onto the
+  // socket's tree node).
   double shares = 1.0;
   // Budget floor the arbiter guarantees this socket (>= the socket's idle
   // draw, or the daemon would throttle forever); 0 derives a floor from the
@@ -71,11 +75,11 @@ struct RackSocketConfig {
   bool use_baseline_ips = true;
 
   // --- Serving-socket mode ---------------------------------------------------
-  // When set, the socket runs an open-loop websearch service on cores
-  // 0..n-2 (optionally a cpuburn power virus on the last core) instead of
-  // the `apps` process mix; `apps` must then be empty.  This is how Fleet
-  // builds latency-sensitive leaves on top of the same SocketStack the
-  // rack and budget tree already drive.
+  // When set, the socket runs a websearch service (open- or closed-loop per
+  // websearch_params.open_loop) on cores 0..n-2, optionally a cpuburn power
+  // virus on the last core, instead of the `apps` process mix; `apps` must
+  // then be empty.  RunWebsearch and Fleet's latency-sensitive leaves both
+  // build their sockets this way.
   bool websearch = false;
   WebSearch::Params websearch_params;
   bool with_cpuburn = false;
@@ -102,9 +106,14 @@ uint64_t HashSocketConfig(const RackSocketConfig& cfg);
 void ValidateSocketBudgetBounds(const RackSocketConfig& cfg);
 
 struct SocketStack {
-  SocketStack(const RackSocketConfig& cfg, Seconds period_s, Seconds tick_s,
-              Watts initial_budget_w, ObsSink* obs_sink, int16_t shard,
-              const TickOptions& tick);
+  // Builds the socket `cfg` describes.  The daemon runs exactly `daemon_cfg`
+  // (policy, limit, period, audit, obs sink and shard are the caller's);
+  // `faults` is armed on the MSR surface before the daemon is constructed.
+  // The daemon step is registered on the simulator every
+  // daemon_cfg.period_s unless the policy is kStatic or the socket is held
+  // (see AdvancePeriod).
+  SocketStack(const RackSocketConfig& cfg, const DaemonConfig& daemon_cfg,
+              const FaultPlan& faults, Seconds tick_s, const TickOptions& tick);
 
   SocketStack(const SocketStack&) = delete;
   SocketStack& operator=(const SocketStack&) = delete;
@@ -124,7 +133,7 @@ struct SocketStack {
   Package pkg;
   MsrFile msr;
   std::vector<std::unique_ptr<Process>> procs;
-  // The open-loop service when config.websearch is set; nullptr otherwise.
+  // The websearch service when config.websearch is set; nullptr otherwise.
   std::unique_ptr<WebSearch> websearch;
   std::unique_ptr<PowerDaemon> daemon;
   Simulator sim;

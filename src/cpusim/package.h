@@ -228,8 +228,8 @@ class Package {
   Joules package_energy_j_{0.0};
 };
 
-// Tick-engine knobs plumbed through RunOptions (experiments) and RackConfig
-// (cluster): which tick policy drives Package::Tick and the multi-rate hold
+// Tick-engine knobs plumbed through RunOptions (experiments) and
+// BudgetTreeConfig (cluster): which tick policy drives Package::Tick and the multi-rate hold
 // horizon, plus the socket/cluster-granularity extensions (kMultiRate only;
 // both are ignored under kEveryTick).
 struct TickOptions {

@@ -1,21 +1,23 @@
 #include "src/experiments/harness.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 
-#include "src/common/check.h"
+#include "src/cluster/socket_stack.h"
 #include "src/common/mutex.h"
 #include "src/common/thread_annotations.h"
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
-#include "src/msr/msr.h"
 #include "src/specsim/spec2017.h"
-#include "src/specsim/websearch.h"
 #include "src/specsim/workload.h"
 
 namespace papd {
 namespace {
+
+// Every run ticks the simulator at 1 ms.
+constexpr Seconds kTick{0.001};
 
 // Counter snapshot used to window statistics to [warmup, warmup+measure].
 struct CounterWindow {
@@ -45,6 +47,97 @@ struct CounterWindow {
     return w;
   }
 };
+
+// Active (unhalted) frequency of one core over the window.
+Mhz AvgActiveMhz(const CounterWindow& start, const CounterWindow& end, size_t cpu, Mhz tsc_mhz) {
+  const double dm = end.mperf[cpu] - start.mperf[cpu];
+  return dm > 0.0 ? (end.aperf[cpu] - start.aperf[cpu]) / dm * tsc_mhz : Mhz{0.0};
+}
+
+// The one mapping of RunOptions::daemon onto a DaemonConfig, shared by both
+// drivers (ToDaemonConfig adds the scenario-only knobs).
+DaemonConfig DaemonConfigFor(PolicyKind policy, Watts limit_w, const DaemonOptions& daemon) {
+  DaemonConfig dcfg;
+  dcfg.kind = policy;
+  dcfg.power_limit_w = limit_w;
+  dcfg.use_hwp_hints = daemon.hwp_hints;
+  dcfg.audit = daemon.audit;
+  dcfg.degradation.enabled = daemon.degrade;
+  // The naive baseline also consumes raw turbostat output, reproducing the
+  // pre-hardening daemon end to end.
+  dcfg.raw_telemetry = !daemon.degrade;
+  return dcfg;
+}
+
+// The measurement both drivers share.  Builds the socket (with the run's
+// trace sink and fault plan), registers the ground-truth power meter after
+// the daemon step, runs the warmup, then `measure` (which advances the
+// simulator through the measurement window), and fills every RunSummary
+// field plus the requested artifacts.  `reduce` adds the kind-specific
+// results from the socket and the counter window.
+void MeasureSocket(
+    const RackSocketConfig& socket, DaemonConfig dcfg, const RunOptions& run, Seconds warmup_s,
+    const std::function<void(SocketStack&)>& measure,
+    const std::function<void(SocketStack&, const CounterWindow&, const CounterWindow&)>& reduce,
+    RunSummary* out) {
+  // Tracing: an external sink wins; otherwise run.obs.trace spins up an
+  // internal recorder whose events come back in the result.
+  std::unique_ptr<obs::TraceRecorder> recorder;
+  dcfg.obs.sink = run.obs.sink;
+  if (run.obs.trace && dcfg.obs.sink == nullptr) {
+    recorder = std::make_unique<obs::TraceRecorder>(run.obs.ring_capacity);
+    dcfg.obs.sink = recorder.get();
+  }
+  // The drivers step the simulator themselves, so socket hold (which moves
+  // the daemon step into SocketStack::AdvancePeriod) does not apply.
+  TickOptions tick = run.tick;
+  tick.socket_hold = false;
+  SocketStack s(socket, dcfg, run.daemon.faults, kTick, tick);
+
+  // Ground-truth worst-1-second package power, read straight from the
+  // package energy counter so corrupted telemetry cannot hide overshoot.
+  Watts max_pkg_w{0.0};
+  Joules prev_energy_j{0.0};
+  Seconds prev_energy_t{0.0};
+  s.sim.AddPeriodic(Seconds{1.0}, [&](Seconds now) {
+    const Joules e{s.pkg.package_energy_j()};
+    const Watts w{(e - prev_energy_j) / (now - prev_energy_t)};
+    if (now > warmup_s) {
+      max_pkg_w = std::max(max_pkg_w, w);
+    }
+    prev_energy_j = e;
+    prev_energy_t = now;
+  });
+
+  s.sim.Run(warmup_s);
+  const CounterWindow start = CounterWindow::Take(s.pkg);
+  measure(s);
+  // Multi-rate runs defer workload-internal accounting; catch it up before
+  // anything below reads workload state.  (Counter windows are exact either
+  // way — hardware counters advance every tick.)
+  s.pkg.FlushSteadyWork();
+  const CounterWindow end = CounterWindow::Take(s.pkg);
+
+  out->measured_s = end.t - start.t;
+  out->energy_j = end.pkg_energy - start.pkg_energy;
+  out->avg_pkg_w = out->energy_j / out->measured_s;
+  out->max_pkg_w = max_pkg_w;
+  out->fault_stats = s.daemon->fault_stats();
+  if (s.msr.faults() != nullptr) {
+    out->fault_counts = s.msr.faults()->counts();
+  }
+  out->metrics = s.daemon->metrics().Export();
+  if (recorder != nullptr) {
+    out->trace_events = recorder->Drain();
+  }
+  if (!run.obs.chrome_trace_path.empty()) {
+    obs::WriteFile(run.obs.chrome_trace_path, obs::ChromeTraceJson(out->trace_events));
+  }
+  if (!run.obs.metrics_csv_path.empty()) {
+    obs::WriteFile(run.obs.metrics_csv_path, obs::MetricsCsv(s.daemon->metrics()));
+  }
+  reduce(s, start, end);
+}
 
 }  // namespace
 
@@ -93,134 +186,39 @@ StandaloneBaseline Standalone(const PlatformSpec& platform, const std::string& p
 }
 
 DaemonConfig ToDaemonConfig(const ScenarioConfig& config) {
-  const RunOptions& run = config.run;
-  DaemonConfig dcfg;
-  dcfg.kind = config.policy;
-  dcfg.power_limit_w = config.limit_w;
+  DaemonConfig dcfg = DaemonConfigFor(config.policy, config.limit_w, config.run.daemon);
   dcfg.period_s = config.daemon_period_s;
   dcfg.priority = config.priority;
   dcfg.static_mhz = config.static_mhz;
-  dcfg.use_hwp_hints = run.daemon.hwp_hints;
-  dcfg.audit = run.daemon.audit;
-  dcfg.degradation.enabled = run.daemon.degrade;
-  // The naive baseline also consumes raw turbostat output, reproducing the
-  // pre-hardening daemon end to end.
-  dcfg.raw_telemetry = !run.daemon.degrade;
   return dcfg;
 }
 
 ScenarioResult RunScenario(const ScenarioConfig& config) {
-  PAPD_CHECK_LE(static_cast<int>(config.apps.size()), config.platform.num_cores);
-  const RunOptions& run = config.run;
-
-  Package pkg(config.platform);
-  pkg.SetTickPolicy(run.tick.policy, run.tick.max_hold_ticks);
-  MsrFile msr(&pkg);
-
-  // Instantiate and pin the workloads.
-  std::vector<std::unique_ptr<Process>> procs;
-  std::vector<ManagedApp> managed;
-  for (size_t i = 0; i < config.apps.size(); i++) {
-    const AppSetup& setup = config.apps[i];
-    procs.push_back(
-        std::make_unique<Process>(GetProfile(setup.profile), config.seed + 1000 * i));
-    pkg.AttachWork(static_cast<int>(i), procs.back().get());
-    managed.push_back(ManagedApp{
-        .name = setup.profile,
-        .cpu = static_cast<int>(i),
-        .shares = setup.shares,
-        .high_priority = setup.high_priority,
-        .baseline_ips = Standalone(config.platform, setup.profile).ips,
-    });
-  }
-  // Unmanaged (empty) cores idle at the minimum P-state.
-  for (int c = static_cast<int>(config.apps.size()); c < pkg.num_cores(); c++) {
-    pkg.SetRequestedMhz(c, config.platform.min_mhz);
-  }
-
-  if (run.daemon.faults.Any()) {
-    msr.EnableFaults(run.daemon.faults);
-  }
-
-  // Tracing: an external sink wins; otherwise run.obs.trace spins up an
-  // internal recorder whose events come back in the result.
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  ObsSink* sink = run.obs.sink;
-  if (run.obs.trace && sink == nullptr) {
-    recorder = std::make_unique<obs::TraceRecorder>(run.obs.ring_capacity);
-    sink = recorder.get();
-  }
-
-  DaemonConfig dcfg = ToDaemonConfig(config);
-  dcfg.obs.sink = sink;
-  PowerDaemon daemon(&msr, managed, dcfg);
-  daemon.Start();
-
-  Simulator sim(&pkg);
-  if (config.policy != PolicyKind::kStatic) {
-    sim.AddPeriodic(config.daemon_period_s, [&daemon](Seconds) { daemon.Step(); });
-  }
-  // Ground-truth worst-1-second package power, read straight from the
-  // package energy counter so corrupted telemetry cannot hide overshoot.
-  Watts max_pkg_w{0.0};
-  Joules prev_energy_j{0.0};
-  Seconds prev_energy_t{0.0};
-  sim.AddPeriodic(Seconds{1.0}, [&](Seconds now) {
-    const Joules e{pkg.package_energy_j()};
-    const Watts w{(e - prev_energy_j) / (now - prev_energy_t)};
-    if (now > config.warmup_s) {
-      max_pkg_w = std::max(max_pkg_w, w);
-    }
-    prev_energy_j = e;
-    prev_energy_t = now;
-  });
-
-  sim.Run(config.warmup_s);
-  const CounterWindow start = CounterWindow::Take(pkg);
-  sim.Run(config.measure_s);
-  // Multi-rate runs defer workload-internal accounting; catch it up before
-  // anything below reads Process state.  (Counter windows are exact either
-  // way — hardware counters advance every tick.)
-  pkg.FlushSteadyWork();
-  const CounterWindow end = CounterWindow::Take(pkg);
-  const Seconds dt{end.t - start.t};
-
   ScenarioResult result;
-  result.measured_s = dt;
-  result.energy_j = end.pkg_energy - start.pkg_energy;
-  result.avg_pkg_w = result.energy_j / dt;
-  result.max_pkg_w = max_pkg_w;
-  result.fault_stats = daemon.fault_stats();
-  if (msr.faults() != nullptr) {
-    result.fault_counts = msr.faults()->counts();
-  }
-  result.metrics = daemon.metrics().Export();
-  if (recorder != nullptr) {
-    result.trace_events = recorder->Drain();
-  }
-  if (!run.obs.chrome_trace_path.empty()) {
-    obs::WriteFile(run.obs.chrome_trace_path, obs::ChromeTraceJson(result.trace_events));
-  }
-  if (!run.obs.metrics_csv_path.empty()) {
-    obs::WriteFile(run.obs.metrics_csv_path, obs::MetricsCsv(daemon.metrics()));
-  }
-  for (size_t i = 0; i < config.apps.size(); i++) {
-    const ManagedApp& app = managed[i];
-    AppResult r;
-    r.name = app.name;
-    r.cpu = app.cpu;
-    r.high_priority = app.high_priority;
-    r.shares = app.shares;
-    r.avg_ips = (end.instructions[i] - start.instructions[i]) / dt;
-    r.norm_perf = app.baseline_ips > Ips{0.0} ? r.avg_ips / app.baseline_ips : 0.0;
-    const double dm = end.mperf[i] - start.mperf[i];
-    r.avg_active_mhz =
-        dm > 0.0 ? (end.aperf[i] - start.aperf[i]) / dm * config.platform.tsc_mhz : Mhz{0.0};
-    r.avg_busy = dm / (config.platform.tsc_mhz * kHzPerMhz * dt);
-    r.avg_core_w = (end.core_energy[i] - start.core_energy[i]) / dt;
-    r.starved = r.avg_busy < 0.01;
-    result.apps.push_back(r);
-  }
+  MeasureSocket(
+      RackSocketConfig{.platform = config.platform, .apps = config.apps, .seed = config.seed},
+      ToDaemonConfig(config), config.run, config.warmup_s,
+      [&config](SocketStack& s) { s.sim.Run(config.measure_s); },
+      [&config, &result](SocketStack& s, const CounterWindow& start, const CounterWindow& end) {
+        const Seconds dt = result.measured_s;
+        for (size_t i = 0; i < config.apps.size(); i++) {
+          const ManagedApp& app = s.daemon->apps()[i];
+          AppResult r;
+          r.name = app.name;
+          r.cpu = app.cpu;
+          r.high_priority = app.high_priority;
+          r.shares = app.shares;
+          r.avg_ips = (end.instructions[i] - start.instructions[i]) / dt;
+          r.norm_perf = app.baseline_ips > Ips{0.0} ? r.avg_ips / app.baseline_ips : 0.0;
+          r.avg_active_mhz = AvgActiveMhz(start, end, i, config.platform.tsc_mhz);
+          const double dm = end.mperf[i] - start.mperf[i];
+          r.avg_busy = dm / (config.platform.tsc_mhz * kHzPerMhz * dt);
+          r.avg_core_w = (end.core_energy[i] - start.core_energy[i]) / dt;
+          r.starved = r.avg_busy < 0.01;
+          result.apps.push_back(r);
+        }
+      },
+      &result);
   return result;
 }
 
@@ -241,125 +239,46 @@ void AddResourceShares(ScenarioResult* result) {
 }
 
 WebsearchResult RunWebsearch(const WebsearchConfig& config) {
-  Package pkg(config.platform);
-  pkg.SetTickPolicy(config.run.tick.policy, config.run.tick.max_hold_ticks);
-  MsrFile msr(&pkg);
-
-  const int n = config.platform.num_cores;
-  const int burn_cpu = n - 1;
-  std::vector<int> ws_cores;
-  for (int c = 0; c < burn_cpu; c++) {
-    ws_cores.push_back(c);
-  }
-
-  WebSearch::Params params;
-  params.users = config.users;
-  params.open_loop = config.open_loop;
-  WebSearch websearch(ws_cores, params, config.seed);
-  pkg.AttachMultiWork(&websearch);
-
-  std::unique_ptr<Process> burn;
-  if (config.with_cpuburn) {
-    burn = std::make_unique<Process>(GetProfile("cpuburn"), config.seed + 7);
-    pkg.AttachWork(burn_cpu, burn.get());
-  } else {
-    pkg.SetRequestedMhz(burn_cpu, config.platform.min_mhz);
-  }
-
-  // Managed-app list: one entry per websearch worker core (high shares,
-  // high priority) and one for the power virus.
-  std::vector<ManagedApp> managed;
-  // Baseline per-core IPS: websearch is open-ended, so use the per-core
-  // service capacity at max frequency as the normalization (only the
-  // performance-share policy consumes this).
-  const Ips ws_baseline = IpsAtMhz(config.platform.turbo_max_mhz, params.ipc);
-  for (int c : ws_cores) {
-    managed.push_back(ManagedApp{.name = "websearch",
-                                 .cpu = c,
-                                 .shares = config.websearch_shares,
-                                 .high_priority = true,
-                                 .baseline_ips = ws_baseline});
-  }
-  if (config.with_cpuburn) {
-    managed.push_back(ManagedApp{.name = "cpuburn",
-                                 .cpu = burn_cpu,
-                                 .shares = config.cpuburn_shares,
-                                 .high_priority = false,
-                                 .baseline_ips = Standalone(config.platform, "cpuburn").ips});
-  }
-
-  const RunOptions& run = config.run;
-  std::unique_ptr<obs::TraceRecorder> recorder;
-  ObsSink* sink = run.obs.sink;
-  if (run.obs.trace && sink == nullptr) {
-    recorder = std::make_unique<obs::TraceRecorder>(run.obs.ring_capacity);
-    sink = recorder.get();
-  }
-
-  DaemonConfig dcfg;
-  dcfg.kind = config.policy;
-  dcfg.power_limit_w = config.limit_w;
-  dcfg.audit = run.daemon.audit;
-  dcfg.use_hwp_hints = run.daemon.hwp_hints;
-  dcfg.obs.sink = sink;
-  PowerDaemon daemon(&msr, managed, dcfg);
-  daemon.Start();
-
-  Simulator sim(&pkg);
-  if (config.policy != PolicyKind::kStatic) {
-    sim.AddPeriodic(dcfg.period_s, [&daemon](Seconds) { daemon.Step(); });
-  }
-
-  sim.Run(config.warmup_s);
-  websearch.ResetStats();
-  const CounterWindow start = CounterWindow::Take(pkg);
-  if (config.target_requests > 0) {
-    // Early exit once enough transactions completed; the predicate is
-    // evaluated coarsely so it stays off the per-tick fast path.
-    sim.RunUntil(
-        [&websearch, &config] { return websearch.completed_requests() >= config.target_requests; },
-        config.measure_s, /*check_period_s=*/Seconds{0.25});
-  } else {
-    sim.Run(config.measure_s);
-  }
-  pkg.FlushSteadyWork();
-  const CounterWindow end = CounterWindow::Take(pkg);
-  const Seconds dt{end.t - start.t};
+  RackSocketConfig socket{.platform = config.platform, .seed = config.seed};
+  socket.websearch = true;
+  socket.websearch_params.users = config.users;
+  socket.websearch_params.open_loop = config.open_loop;
+  socket.with_cpuburn = config.with_cpuburn;
+  socket.websearch_shares = config.websearch_shares;
+  socket.cpuburn_shares = config.cpuburn_shares;
 
   WebsearchResult result;
-  result.p50_latency = websearch.LatencyPercentile(50.0);
-  result.p90_latency = websearch.LatencyPercentile(90.0);
-  result.p99_latency = websearch.LatencyPercentile(99.0);
-  result.completed_requests = websearch.completed_requests();
-  result.measured_s = dt;
-  result.energy_j = end.pkg_energy - start.pkg_energy;
-  result.avg_pkg_w = result.energy_j / dt;
-  result.fault_stats = daemon.fault_stats();
-  result.metrics = daemon.metrics().Export();
-
-  Mhz ws_mhz{0.0};
-  for (int c : ws_cores) {
-    const auto i = static_cast<size_t>(c);
-    const double dm = end.mperf[i] - start.mperf[i];
-    ws_mhz += dm > 0.0 ? (end.aperf[i] - start.aperf[i]) / dm * config.platform.tsc_mhz
-                       : Mhz{0.0};
-  }
-  result.websearch_avg_mhz = ws_mhz / static_cast<double>(ws_cores.size());
-  {
-    const auto i = static_cast<size_t>(burn_cpu);
-    const double dm = end.mperf[i] - start.mperf[i];
-    result.cpuburn_avg_mhz =
-        dm > 0.0 ? (end.aperf[i] - start.aperf[i]) / dm * config.platform.tsc_mhz : Mhz{0.0};
-  }
-  if (recorder != nullptr) {
-    result.trace_events = recorder->Drain();
-  }
-  if (!run.obs.chrome_trace_path.empty() && recorder != nullptr) {
-    obs::WriteFile(run.obs.chrome_trace_path, obs::ChromeTraceJson(result.trace_events));
-  }
-  if (!run.obs.metrics_csv_path.empty()) {
-    obs::WriteFile(run.obs.metrics_csv_path, obs::MetricsCsv(daemon.metrics()));
-  }
+  MeasureSocket(
+      socket, DaemonConfigFor(config.policy, config.limit_w, config.run.daemon), config.run,
+      config.warmup_s,
+      [&config](SocketStack& s) {
+        s.websearch->ResetStats();
+        if (config.target_requests > 0) {
+          // Early exit once enough transactions completed; the predicate is
+          // evaluated coarsely so it stays off the per-tick fast path.
+          const WebSearch& ws = *s.websearch;
+          s.sim.RunUntil(
+              [&ws, &config] { return ws.completed_requests() >= config.target_requests; },
+              config.measure_s, /*check_period_s=*/Seconds{0.25});
+        } else {
+          s.sim.Run(config.measure_s);
+        }
+      },
+      [&config, &result](SocketStack& s, const CounterWindow& start, const CounterWindow& end) {
+        result.p50_latency = s.websearch->LatencyPercentile(50.0);
+        result.p90_latency = s.websearch->LatencyPercentile(90.0);
+        result.p99_latency = s.websearch->LatencyPercentile(99.0);
+        result.completed_requests = s.websearch->completed_requests();
+        // Websearch runs on cores 0..n-2, the power virus on the last core.
+        const size_t burn_cpu = static_cast<size_t>(config.platform.num_cores - 1);
+        Mhz ws_mhz{0.0};
+        for (size_t c = 0; c < burn_cpu; c++) {
+          ws_mhz += AvgActiveMhz(start, end, c, config.platform.tsc_mhz);
+        }
+        result.websearch_avg_mhz = ws_mhz / static_cast<double>(burn_cpu);
+        result.cpuburn_avg_mhz = AvgActiveMhz(start, end, burn_cpu, config.platform.tsc_mhz);
+      },
+      &result);
   return result;
 }
 

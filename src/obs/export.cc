@@ -91,12 +91,6 @@ void AppendEvent(std::string* out, const TraceEvent& e) {
               "\"max_mhz\":%.1f,\"min_mhz\":%.1f}}",
               ts_us, pid, e.index, e.code != 0 ? "true" : "false", e.a, e.b);
       break;
-    case TraceEventType::kRackGrant:
-      Appendf(out,
-              "{\"name\":\"socket%d budget_w\",\"cat\":\"rack\",\"ph\":\"C\",\"ts\":%.3f,"
-              "\"pid\":%d,\"args\":{\"grant_w\":%.3f,\"measured_w\":%.3f}}",
-              e.index, ts_us, pid, e.a, e.b);
-      break;
     case TraceEventType::kClusterGrant:
       Appendf(out,
               "{\"name\":\"node%d level%d grant_w\",\"cat\":\"cluster\",\"ph\":\"C\",\"ts\":%.3f,"
@@ -133,7 +127,7 @@ std::string MetricsCsv(const MetricsRegistry& registry) {
   out.push_back('\n');
   const size_t columns = registry.scalar_names().size();
   for (const MetricsRegistry::Row& row : registry.rows()) {
-    Appendf(&out, "%.3f", row.t);
+    Appendf(&out, "%.3f", row.t.value());
     for (size_t c = 0; c < columns; c++) {
       // Rows snapshotted before a metric existed are padded with 0.
       Appendf(&out, ",%g", c < row.values.size() ? row.values[c] : 0.0);

@@ -3,8 +3,8 @@
 // Three formats:
 //   - Chrome trace_event JSON: load the file in ui.perfetto.dev (or
 //     chrome://tracing).  Period begin/end become duration slices, one
-//     track per rack shard; decisions become instants; per-app targets and
-//     rack grants become counter tracks Perfetto plots as time series.
+//     track per shard; decisions become instants; per-app targets and
+//     tree grants become counter tracks Perfetto plots as time series.
 //   - CSV: the metrics registry's per-period snapshot rows, one column per
 //     scalar metric — the spreadsheet-side view of a run.
 //   - Metrics JSON: a flat JSON object for the perf_harness output block
@@ -24,7 +24,7 @@ namespace obs {
 
 // Chrome trace_event JSON ("traceEvents" array form) for the given events.
 // Timestamps are simulated microseconds; pid = shard, so Perfetto shows one
-// process track per rack socket.
+// process track per budget-tree node.
 std::string ChromeTraceJson(const std::vector<TraceEvent>& events);
 
 // CSV time series of the registry's per-period snapshots: header row of

@@ -15,8 +15,8 @@
 // time-points) and are exported whole.
 //
 // A registry belongs to one component (one PowerDaemon); it is not
-// thread-safe.  Rack shards each own their daemon's registry, so parallel
-// racks never share one.
+// thread-safe.  Budget-tree leaves each own their daemon's registry, so
+// leaves stepped in parallel never share one.
 
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_

@@ -24,8 +24,6 @@ const char* TraceEventTypeName(TraceEventType type) {
       return "ladder-transition";
     case TraceEventType::kPstateWrite:
       return "pstate-write";
-    case TraceEventType::kRackGrant:
-      return "rack-grant";
     case TraceEventType::kClusterGrant:
       return "cluster-grant";
     case TraceEventType::kSloShift:

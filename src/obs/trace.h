@@ -13,12 +13,12 @@
 //   kMinFundingRevoke         an entry was pinned at a bound and revoked
 //   kLadderTransition         degradation-ladder state change
 //   kPstateWrite              P-state program + read-back verification
-//   kRackGrant                rack arbiter budget grant to one socket
 //   kClusterGrant             budget-tree arbiter grant to one tree node
 //   kSloShift                 SLO-feedback arbiter moved a node's share bias
 //
 // Emission has two paths:
-//   - components holding an ObsSink* (PowerDaemon, GovernorDaemon, Rack)
+//   - components holding an ObsSink* (PowerDaemon, GovernorDaemon,
+//     BudgetTree)
 //     call OnEvent directly, guarded by a null check;
 //   - deep library code (min-funding revocation) uses the PAPD_TRACE_*
 //     macros, which read a thread-local context installed by whoever drives
@@ -28,7 +28,7 @@
 //
 // TraceRecorder is the standard sink: each recording thread gets its own
 // fixed-capacity ring buffer (registered once under a mutex, then written
-// lock-free), so concurrent rack shards trace safely without serializing.
+// lock-free), so concurrent tree leaves trace safely without serializing.
 // Drain() merges the rings; it must only run while no thread is recording
 // (after a ThreadPool barrier or join).
 
@@ -54,12 +54,11 @@ enum class TraceEventType : uint8_t {
   kMinFundingRevoke,
   kLadderTransition,
   kPstateWrite,
-  kRackGrant,
   kClusterGrant,
   kSloShift,
 };
 
-inline constexpr int kNumTraceEventTypes = 10;
+inline constexpr int kNumTraceEventTypes = 9;
 
 const char* TraceEventTypeName(TraceEventType type);
 
@@ -86,13 +85,12 @@ constexpr TracePayload ToPayload(Quantity<Tag> q) {
 //   kMinFundingRevoke entry index    0 = min, 1 = max     pinned value -
 //   kLadderTransition old state      new state            bad streak   -
 //   kPstateWrite      app count      1 = verified ok      max MHz      min MHz
-//   kRackGrant        socket index   arbiter kind         grant W      measured W
 //   kClusterGrant     node index     tree level           grant W      reported W
 //   kSloShift         node index     tree level           bias after   p90 seconds
 struct TraceEvent {
   Seconds t;  // Simulated time the event belongs to.
   TraceEventType type = TraceEventType::kPeriodBegin;
-  int16_t shard = 0;  // Rack socket (0 for single-socket runs).
+  int16_t shard = 0;  // Budget-tree node index (0 for single-socket runs).
   int32_t index = -1;
   int32_t code = 0;
   TracePayload a = 0.0;
@@ -101,7 +99,7 @@ struct TraceEvent {
 
 // Receiver of trace events.  Tests implement this to assert on emitted
 // events; TraceRecorder is the standard ring-buffer implementation.
-// OnEvent may be called concurrently from multiple threads (rack shards);
+// OnEvent may be called concurrently from multiple threads (tree leaves);
 // implementations must be thread-safe.
 class ObsSink {
  public:
@@ -123,7 +121,7 @@ struct ThreadTraceContext {
 ThreadTraceContext& ThreadTrace();
 
 // RAII installer; restores the previous context on destruction so nested
-// scopes (rack arbiter driving per-socket daemons) compose.
+// scopes (tree arbiter driving per-socket daemons) compose.
 class ScopedThreadTrace {
  public:
   ScopedThreadTrace(ObsSink* sink, Seconds t, int16_t shard) : saved_(ThreadTrace()) {

@@ -101,7 +101,8 @@ struct DaemonObs {
   // Receives one TraceEvent per decision point; null disables tracing (the
   // emission sites then cost one branch each).
   ObsSink* sink = nullptr;
-  // Rack shard id stamped on every event (0 for single-socket runs).
+  // Shard id stamped on every event: the budget-tree node index of the
+  // socket (0 for single-socket runs).
   int16_t shard = 0;
 };
 

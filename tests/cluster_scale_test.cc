@@ -68,6 +68,15 @@ RackSocketConfig MakeHoldSocket() {
 
 constexpr Watts kHoldGrantW{180.0};
 
+// The daemon a tree leaf running MakeHoldSocket() gets under `grant_w`.
+DaemonConfig HoldDaemon(Watts grant_w) {
+  DaemonConfig dcfg;
+  dcfg.kind = PolicyKind::kFrequencyShares;
+  dcfg.power_limit_w = grant_w;
+  dcfg.period_s = kPeriod;
+  return dcfg;
+}
+
 // A truly homogeneous 2x2x2 fleet: every leaf bit-identical, so replica
 // memoization collapses it to one equivalence class.
 BudgetTreeConfig MakeHomogeneousCluster(Watts budget_w, const TickOptions& tick) {
@@ -253,9 +262,8 @@ struct HeldTwin {
     TickOptions tick;
     tick.policy = TickPolicy::kMultiRate;
     tick.socket_hold = true;
-    stack = std::make_unique<SocketStack>(MakeHoldSocket(), kPeriod, kTick,
-                                          budget_w, /*obs_sink=*/nullptr,
-                                          /*shard=*/0, tick);
+    stack = std::make_unique<SocketStack>(MakeHoldSocket(), HoldDaemon(budget_w),
+                                          FaultPlan{}, kTick, tick);
   }
   std::unique_ptr<SocketStack> stack;
 };
@@ -332,8 +340,7 @@ HoldRunResult RunLoadedSocket(bool socket_hold) {
   TickOptions tick;
   tick.policy = TickPolicy::kMultiRate;
   tick.socket_hold = socket_hold;
-  SocketStack stack(MakeHoldSocket(), kPeriod, kTick, kHoldGrantW,
-                    /*obs_sink=*/nullptr, /*shard=*/0, tick);
+  SocketStack stack(MakeHoldSocket(), HoldDaemon(kHoldGrantW), FaultPlan{}, kTick, tick);
   for (int p = 0; p < 30; p++) {
     stack.AdvancePeriod(kPeriod);
   }

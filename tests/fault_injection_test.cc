@@ -3,7 +3,7 @@
 // the naive-baseline regression (stale telemetry must not read as free
 // headroom), write-failure retry with backoff and the RAPL safety net, the
 // governor's fallback, and the acceptance sweep over every standard fault
-// schedule.
+// schedule, for scenario and websearch runs alike.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +12,7 @@
 
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
+#include "src/experiments/batch.h"
 #include "src/experiments/harness.h"
 #include "src/experiments/scenarios.h"
 #include "src/governor/governor_daemon.h"
@@ -373,6 +374,59 @@ TEST(FaultInjection, HardenedDaemonHoldsCeilingUnderEverySchedule) {
     EXPECT_LE(r.max_pkg_w, c.limit_w + Watts{8.0}) << fs.label;
     EXPECT_GT(r.avg_pkg_w, Watts{0.0}) << fs.label;
   }
+}
+
+
+// Websearch runs build their socket through the same SocketStack as
+// scenario runs, so the fault plan and the degradation knob reach their
+// daemon and the ground-truth power meter runs.
+int InjectedFaults(const FaultCounts& c) {
+  return c.stale_samples + c.counter_resets + c.energy_wraps + c.read_spikes + c.dropped_writes;
+}
+
+WebsearchConfig ShortFaultedWebsearch(const FaultPlan& plan) {
+  WebsearchConfig w{.platform = SkylakeXeon4114()};
+  w.policy = PolicyKind::kFrequencyShares;
+  w.limit_w = Watts{50.0};
+  w.warmup_s = Seconds{5.0};
+  w.measure_s = Seconds{15.0};
+  w.run.daemon.faults = plan;
+  return w;
+}
+
+TEST(FaultInjection, WebsearchInjectsEveryScheduleAndMetersPower) {
+  const std::vector<FaultScenario> schedules =
+      FaultSchedules(Seconds{5.0}, Seconds{20.0}, /*seed=*/5);
+  std::vector<WebsearchConfig> configs;
+  for (const FaultScenario& fs : schedules) {
+    configs.push_back(ShortFaultedWebsearch(fs.plan));
+  }
+  const std::vector<WebsearchResult> results = RunWebsearches(configs);
+  ASSERT_EQ(results.size(), schedules.size());
+  for (size_t i = 0; i < results.size(); i++) {
+    EXPECT_GT(InjectedFaults(results[i].fault_counts), 0) << schedules[i].label;
+    EXPECT_GT(results[i].max_pkg_w, Watts{0.0}) << schedules[i].label;
+  }
+}
+
+TEST(FaultInjection, WebsearchDegradeKnobReachesDaemon) {
+  FaultPlan stale_burst;
+  for (const FaultScenario& fs : FaultSchedules(Seconds{5.0}, Seconds{20.0}, /*seed=*/5)) {
+    if (fs.label == "stale-burst") {
+      stale_burst = fs.plan;
+    }
+  }
+  ASSERT_TRUE(stale_burst.Any());
+  WebsearchConfig hardened = ShortFaultedWebsearch(stale_burst);
+  WebsearchConfig naive = hardened;
+  naive.run.daemon.degrade = false;
+  naive.run.daemon.audit = false;
+  const std::vector<WebsearchResult> r = RunWebsearches({hardened, naive});
+  // The hardened daemon validates telemetry and rejects the stale samples;
+  // the naive one consumes them raw.
+  EXPECT_GT(r[0].fault_stats.invalid_samples, 0);
+  EXPECT_EQ(r[1].fault_stats.invalid_samples, 0);
+  EXPECT_GT(InjectedFaults(r[1].fault_counts), 0);
 }
 
 }  // namespace

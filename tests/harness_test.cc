@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <thread>
 #include <vector>
@@ -117,6 +118,33 @@ TEST(RunScenario, DeterministicForSameSeed) {
   const ScenarioResult b = RunScenario(c);
   EXPECT_DOUBLE_EQ(a.avg_pkg_w.value(), b.avg_pkg_w.value());
   EXPECT_DOUBLE_EQ(a.apps[0].avg_ips.value(), b.apps[0].avg_ips.value());
+}
+
+// Socket hold moves the daemon step into SocketStack::AdvancePeriod, which
+// only the budget tree calls; the experiment drivers step the simulator
+// themselves, so the option must leave their runs untouched.
+TEST(RunScenario, SocketHoldOptionDoesNotApply) {
+  ScenarioConfig c{.platform = SkylakeXeon4114()};
+  c.apps = {{.profile = "gcc", .shares = 2.0}, {.profile = "leela", .shares = 1.0}};
+  c.policy = PolicyKind::kFrequencyShares;
+  c.limit_w = Watts{30};
+  c.warmup_s = Seconds{2};
+  c.measure_s = Seconds{6};
+  c.run.tick.policy = TickPolicy::kMultiRate;
+  c.run.obs.trace = true;
+  const ScenarioResult plain = RunScenario(c);
+  c.run.tick.socket_hold = true;
+  const ScenarioResult held = RunScenario(c);
+  EXPECT_DOUBLE_EQ(plain.avg_pkg_w.value(), held.avg_pkg_w.value());
+  EXPECT_DOUBLE_EQ(plain.apps[0].avg_ips.value(), held.apps[0].avg_ips.value());
+  // The daemon stepped once per second of both runs.
+  const auto periods = [](const ScenarioResult& r) {
+    return std::count_if(r.trace_events.begin(), r.trace_events.end(), [](const auto& e) {
+      return e.type == obs::TraceEventType::kPeriodBegin;
+    });
+  };
+  EXPECT_EQ(periods(held), 8);
+  EXPECT_EQ(periods(plain), 8);
 }
 
 TEST(AddResourceShares, SharesSumToOne) {

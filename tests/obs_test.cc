@@ -1,7 +1,7 @@
 // Observability layer tests: trace-recorder ring semantics, the
 // disabled-tracer zero-cost guarantee, exporter golden output, daemon and
-// rack trace wiring (the rack test records from concurrent shards and is
-// the TSan proof for the lock-free-per-thread rings), the unified fault
+// flat-rack trace wiring (the rack test records from concurrent shards and
+// is the TSan proof for the lock-free-per-thread rings), the unified fault
 // counters, the PolicyRegistry, and the grouped RunOptions mapping.
 
 #include <gtest/gtest.h>
@@ -13,7 +13,7 @@
 #include <string>
 #include <vector>
 
-#include "src/cluster/rack.h"
+#include "src/cluster/budget_tree.h"
 #include "src/common/thread_pool.h"
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
@@ -336,47 +336,51 @@ TEST(GovernorObsTest, TracesPeriodsAndFallbackTransitions) {
   EXPECT_TRUE(recovered);
 }
 
-// --- Rack shard tracing ------------------------------------------------------
+// --- Flat-rack shard tracing -------------------------------------------------
 
-// Three shards record into one TraceRecorder from ThreadPool workers while
-// the arbiter emits grants from the coordinating thread.  Run under the
-// TSan CI matrix, this is the proof that the per-thread rings are safe.
+// Three leaf shards of a flat rack (a one-level BudgetTree) record into one
+// TraceRecorder from ThreadPool workers while the arbiter emits grants from
+// the coordinating thread.  Run under the TSan CI matrix, this is the proof
+// that the per-thread rings are safe.
 TEST(RackObsTest, ConcurrentShardsTraceSafely) {
   obs::TraceRecorder recorder;
-  RackConfig cfg;
+  std::vector<RackSocketConfig> sockets;
   for (int s = 0; s < 3; s++) {
     RackSocketConfig socket{.platform = SkylakeXeon4114()};
     socket.apps = {{.profile = "gcc", .shares = 2.0}, {.profile = "leela", .shares = 1.0}};
     socket.policy = PolicyKind::kFrequencyShares;
     socket.seed = 42 + 100 * static_cast<uint64_t>(s);
     socket.use_baseline_ips = false;
-    cfg.sockets.push_back(socket);
+    sockets.push_back(socket);
   }
-  cfg.budget_w = Watts{150.0};
+  BudgetTreeConfig cfg = MakeFlatRack(std::move(sockets), Watts{150.0});
   cfg.obs = &recorder;
-  Rack rack(cfg);
+  BudgetTree rack(cfg);
   ThreadPool pool(3);
   for (int p = 0; p < 5; p++) {
     rack.Step(&pool);
   }
 
   // Drain after the pool barrier (Step returns only once all shards are
-  // quiescent for the period).
+  // quiescent for the period).  Shard = flat node index: the root's grants
+  // on shard 0, socket i's daemon and grant on shard i + 1.
   const std::vector<obs::TraceEvent> events = recorder.Drain();
   ASSERT_FALSE(events.empty());
-  bool shard_seen[3] = {false, false, false};
-  int grants = 0;
+  bool shard_seen[4] = {false, false, false, false};
+  int leaf_grants = 0;
   for (const obs::TraceEvent& e : events) {
     ASSERT_GE(e.shard, 0);
-    ASSERT_LT(e.shard, 3);
+    ASSERT_LT(e.shard, 4);
     shard_seen[e.shard] = true;
-    if (e.type == obs::TraceEventType::kRackGrant) {
-      grants++;
+    if (e.type == obs::TraceEventType::kClusterGrant && e.shard > 0) {
+      leaf_grants++;
       EXPECT_GT(e.a, 0.0);  // Grant watts.
+    } else if (e.type == obs::TraceEventType::kPeriodBegin) {
+      EXPECT_GT(e.shard, 0);  // Daemons run on the leaves only.
     }
   }
-  EXPECT_TRUE(shard_seen[0] && shard_seen[1] && shard_seen[2]);
-  EXPECT_EQ(grants, 3 * 5);  // One per socket per Step().
+  EXPECT_TRUE(shard_seen[1] && shard_seen[2] && shard_seen[3]);
+  EXPECT_EQ(leaf_grants, 3 * 5);  // One per socket per Step().
   EXPECT_GE(recorder.num_threads(), 2);
 }
 

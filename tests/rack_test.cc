@@ -1,10 +1,11 @@
-// Rack arbiter and many-core preset tests.
+// Flat-rack and many-core preset tests.
 //
-// The load-bearing invariant: the arbiter's per-socket budgets must never
-// sum past the rack budget (whenever the budget covers the per-socket
-// floors) — checked at every control period of every run, for both arbiter
-// kinds.  Also covers determinism of the ThreadPool fan-out and basic
-// sanity of the 64/128-core platform presets.
+// A flat rack is a one-level BudgetTree (MakeFlatRack): root "rack" over one
+// leaf per socket, leaf i at flat node i + 1.  The load-bearing invariant:
+// the per-socket grants must never sum past the rack budget (whenever the
+// budget covers the per-socket floors) — checked at every control period
+// of every run, for both arbiter kinds.  Also covers determinism of the
+// ThreadPool fan-out and basic sanity of the 64/128-core platform presets.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +13,7 @@
 #include <memory>
 #include <vector>
 
-#include "src/cluster/rack.h"
+#include "src/cluster/budget_tree.h"
 #include "src/common/thread_pool.h"
 #include "src/cpusim/simulator.h"
 #include "src/experiments/scenarios.h"
@@ -35,18 +36,25 @@ RackSocketConfig MakeSocket(double shares, int rotate, uint64_t seed) {
   return cfg;
 }
 
-RackConfig MakeRack(int sockets, Watts budget_w) {
-  RackConfig cfg;
+BudgetTreeConfig MakeRack(int sockets, Watts budget_w) {
+  std::vector<RackSocketConfig> configs;
   for (int s = 0; s < sockets; s++) {
-    cfg.sockets.push_back(MakeSocket(/*shares=*/1.0 + s, /*rotate=*/s, /*seed=*/42 + 100 * s));
+    configs.push_back(MakeSocket(/*shares=*/1.0 + s, /*rotate=*/s, /*seed=*/42 + 100 * s));
   }
-  cfg.budget_w = budget_w;
-  return cfg;
+  return MakeFlatRack(std::move(configs), budget_w);
 }
 
-Watts FloorSum(const RackConfig& cfg) {
+// Flat node index of socket `s`.
+int Leaf(int s) { return s + 1; }
+
+const RackSocketConfig& SocketOf(const BudgetTreeConfig& cfg, int s) {
+  return *cfg.root.children[static_cast<size_t>(s)].socket;
+}
+
+Watts FloorSum(const BudgetTreeConfig& cfg) {
   Watts sum{0.0};
-  for (const RackSocketConfig& s : cfg.sockets) {
+  for (const BudgetNodeConfig& leaf : cfg.root.children) {
+    const RackSocketConfig& s = *leaf.socket;
     sum += s.min_budget_w > Watts{0.0} ? s.min_budget_w : s.platform.rapl_min_w;
   }
   return sum;
@@ -54,16 +62,16 @@ Watts FloorSum(const RackConfig& cfg) {
 
 TEST(Rack, BudgetsNeverExceedRackBudget) {
   for (const RackArbiterKind kind : {RackArbiterKind::kShares, RackArbiterKind::kDemand}) {
-    RackConfig cfg = MakeRack(/*sockets=*/4, /*budget_w=*/Watts{160.0});
+    BudgetTreeConfig cfg = MakeRack(/*sockets=*/4, /*budget_w=*/Watts{160.0});
     cfg.arbiter = kind;
     ASSERT_GE(cfg.budget_w, FloorSum(cfg));
-    Rack rack(cfg);
+    BudgetTree rack(cfg);
+    ASSERT_EQ(rack.num_leaves(), 4);
     for (int period = 0; period < 12; period++) {
-      EXPECT_LE(rack.budget_sum_w(), cfg.budget_w + Watts{1e-9})
+      EXPECT_LE(rack.grant_sum_w(0), cfg.budget_w + Watts{1e-9})
           << "arbiter kind " << static_cast<int>(kind) << " period " << period;
-      for (int s = 0; s < rack.num_sockets(); s++) {
-        EXPECT_GE(rack.budgets_w()[static_cast<size_t>(s)],
-                  cfg.sockets[static_cast<size_t>(s)].platform.rapl_min_w - Watts{1e-9});
+      for (int s = 0; s < rack.num_leaves(); s++) {
+        EXPECT_GE(rack.grant_w(Leaf(s)), SocketOf(cfg, s).platform.rapl_min_w - Watts{1e-9});
       }
       rack.Step();
     }
@@ -74,55 +82,65 @@ TEST(Rack, BudgetsNeverExceedRackBudget) {
 TEST(Rack, UnconstrainedBudgetSplitsFully) {
   // Between the floor and ceiling sums the proportional split uses the
   // whole budget.
-  RackConfig cfg = MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0});
-  Rack rack(cfg);
+  BudgetTreeConfig cfg = MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0});
+  BudgetTree rack(cfg);
   rack.Step();
-  EXPECT_NEAR(rack.budget_sum_w().value(), cfg.budget_w.value(), 1e-6);
+  EXPECT_NEAR(rack.grant_sum_w(0).value(), cfg.budget_w.value(), 1e-6);
   // Shares 1:2:3 => socket 2 gets the largest grant.
-  EXPECT_GT(rack.budgets_w()[2], rack.budgets_w()[0]);
+  EXPECT_GT(rack.grant_w(Leaf(2)), rack.grant_w(Leaf(0)));
 }
 
 TEST(Rack, DemandArbiterMovesSurplusToBusySockets) {
-  RackConfig cfg;
   // Socket 0 idle (no apps), socket 1 fully loaded, equal shares.
   RackSocketConfig idle = MakeSocket(/*shares=*/1.0, /*rotate=*/0, /*seed=*/1);
   idle.apps.clear();
-  cfg.sockets.push_back(idle);
-  cfg.sockets.push_back(MakeSocket(/*shares=*/1.0, /*rotate=*/1, /*seed=*/2));
-  cfg.budget_w = Watts{120.0};
+  BudgetTreeConfig cfg =
+      MakeFlatRack({idle, MakeSocket(/*shares=*/1.0, /*rotate=*/1, /*seed=*/2)}, Watts{120.0});
   cfg.arbiter = RackArbiterKind::kDemand;
-  Rack rack(cfg);
+  BudgetTree rack(cfg);
   for (int period = 0; period < 6; period++) {
     rack.Step();
-    EXPECT_LE(rack.budget_sum_w(), cfg.budget_w + Watts{1e-9});
+    EXPECT_LE(rack.grant_sum_w(0), cfg.budget_w + Watts{1e-9});
   }
   // The idle socket's claim collapses to just above its draw; the busy
   // socket inherits the surplus.
-  EXPECT_GT(rack.budgets_w()[1], rack.budgets_w()[0] + Watts{10.0});
+  EXPECT_GT(rack.grant_w(Leaf(1)), rack.grant_w(Leaf(0)) + Watts{10.0});
 }
 
 TEST(Rack, ParallelStepMatchesSerial) {
-  RackResult serial = RunRack(MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0}),
-                              /*warmup_s=*/Seconds{2.0}, /*measure_s=*/Seconds{3.0}, /*pool=*/nullptr);
+  const BudgetTreeResult serial =
+      RunBudgetTree(MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0}),
+                    /*warmup_s=*/Seconds{2.0}, /*measure_s=*/Seconds{3.0}, /*pool=*/nullptr);
   ThreadPool pool(2);
-  RackResult parallel = RunRack(MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0}),
-                                /*warmup_s=*/Seconds{2.0}, /*measure_s=*/Seconds{3.0}, &pool);
-  ASSERT_EQ(serial.socket_avg_w.size(), parallel.socket_avg_w.size());
-  for (size_t s = 0; s < serial.socket_avg_w.size(); s++) {
-    EXPECT_DOUBLE_EQ(serial.socket_avg_w[s].value(), parallel.socket_avg_w[s].value());
+  const BudgetTreeResult parallel =
+      RunBudgetTree(MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0}),
+                    /*warmup_s=*/Seconds{2.0}, /*measure_s=*/Seconds{3.0}, &pool);
+  EXPECT_DOUBLE_EQ(serial.avg_root_w.value(), parallel.avg_root_w.value());
+  EXPECT_DOUBLE_EQ(serial.max_grant_overrun_w.value(), parallel.max_grant_overrun_w.value());
+  EXPECT_DOUBLE_EQ(serial.measured_s.value(), parallel.measured_s.value());
+
+  // Per socket, period by period.
+  BudgetTree serial_rack(MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0}));
+  BudgetTree pooled_rack(MakeRack(/*sockets=*/3, /*budget_w=*/Watts{150.0}));
+  for (int period = 0; period < 5; period++) {
+    serial_rack.Step(nullptr);
+    pooled_rack.Step(&pool);
+    for (int n = 0; n < serial_rack.num_nodes(); n++) {
+      EXPECT_DOUBLE_EQ(serial_rack.measured_w(n).value(), pooled_rack.measured_w(n).value());
+      EXPECT_DOUBLE_EQ(serial_rack.grant_w(n).value(), pooled_rack.grant_w(n).value());
+    }
   }
-  EXPECT_DOUBLE_EQ(serial.avg_rack_w.value(), parallel.avg_rack_w.value());
-  EXPECT_DOUBLE_EQ(serial.max_budget_sum_w.value(), parallel.max_budget_sum_w.value());
 }
 
 TEST(Rack, MeasuredPowerTracksBudgets) {
-  RackConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{90.0});
-  RackResult result = RunRack(cfg, /*warmup_s=*/Seconds{3.0}, /*measure_s=*/Seconds{5.0});
-  EXPECT_GT(result.avg_rack_w, Watts{0.0});
-  EXPECT_LE(result.max_budget_sum_w, cfg.budget_w + Watts{1e-9});
+  const BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{90.0});
+  const BudgetTreeResult result =
+      RunBudgetTree(cfg, /*warmup_s=*/Seconds{3.0}, /*measure_s=*/Seconds{5.0});
+  EXPECT_GT(result.avg_root_w, Watts{0.0});
+  EXPECT_LE(result.max_grant_overrun_w, Watts{1e-9});
   // Daemons enforce their grants within control tolerance; allow slack for
   // the settling transient after re-arbitration.
-  EXPECT_LT(result.avg_rack_w, cfg.budget_w * 1.25);
+  EXPECT_LT(result.avg_root_w, cfg.budget_w * 1.25);
 }
 
 TEST(Rack, MeasuredPowerUsesActualElapsedTime) {
@@ -132,51 +150,57 @@ TEST(Rack, MeasuredPowerUsesActualElapsedTime) {
   // advanced.  Dividing by the nominal period would bias the misaligned
   // case high and feed the demand arbiter an inflated claim.
   for (const Seconds tick_s : {Seconds{0.001}, Seconds{0.004}}) {
-    RackConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{90.0});
+    BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{90.0});
     cfg.control_period_s = Seconds{0.25};
     cfg.tick_s = tick_s;
-    Rack rack(cfg);
+    BudgetTree rack(cfg);
     std::vector<Joules> start_j;
     std::vector<Seconds> start_s;
-    for (int s = 0; s < rack.num_sockets(); s++) {
-      start_j.push_back(rack.package(s).package_energy_j());
-      start_s.push_back(rack.package(s).now());
+    for (int s = 0; s < rack.num_leaves(); s++) {
+      start_j.push_back(rack.package(Leaf(s)).package_energy_j());
+      start_s.push_back(rack.package(Leaf(s)).now());
     }
     rack.Step();
-    for (int s = 0; s < rack.num_sockets(); s++) {
-      const Seconds elapsed = rack.package(s).now() - start_s[static_cast<size_t>(s)];
-      const Joules delta{rack.package(s).package_energy_j() - start_j[static_cast<size_t>(s)]};
+    for (int s = 0; s < rack.num_leaves(); s++) {
+      const Package& pkg = rack.package(Leaf(s));
+      const Seconds elapsed = pkg.now() - start_s[static_cast<size_t>(s)];
+      const Joules delta{pkg.package_energy_j() - start_j[static_cast<size_t>(s)]};
       if (tick_s == Seconds{0.004}) {
         // The misaligned pair really does overshoot the nominal period.
         EXPECT_GT(elapsed, Seconds{0.2505});
       } else {
         EXPECT_NEAR(elapsed.value(), 0.25, 1e-9);
       }
-      EXPECT_DOUBLE_EQ(rack.measured_w()[static_cast<size_t>(s)].value(),
-                       (delta / elapsed).value());
+      EXPECT_DOUBLE_EQ(rack.measured_w(Leaf(s)).value(), (delta / elapsed).value());
     }
   }
 }
 
 TEST(Rack, RunRackChecksFinalArbitrationAgainstBudget) {
-  // Regression for window accounting: max_budget_sum_w must cover the
+  // Regression for window accounting: RunBudgetTree's window must cover the
   // arbitration closing the FINAL measurement period, not just the grants
   // in force when each period opens.  Replay a replica rack to find a
-  // period k where the budget sum rises across the arbitration (the demand
+  // period k where the grant sum rises across the arbitration (the demand
   // arbiter's claims track fluctuating draw, so one exists), then measure
-  // exactly that period: the correct max is max(S_k, S_{k+1}); sampling
-  // before Step() would report only S_k.
+  // exactly that period: the window reports period k+1's draw and the worst
+  // cap slack of both arbitrations, and the rising re-split stays inside
+  // the rack budget.
   const auto make = [] {
-    RackConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{400.0});
+    BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{400.0});
     cfg.arbiter = RackArbiterKind::kDemand;
     return cfg;
   };
-  std::vector<Watts> sums;  // sums[i] = budget sum after i Steps.
-  Rack replica(make());
-  sums.push_back(replica.budget_sum_w());
+  std::vector<Watts> sums;     // sums[i] = grant sum after i Steps.
+  std::vector<Watts> overrun;  // overrun[i] = cap slack after i Steps.
+  std::vector<Watts> drawn;    // drawn[i] = rack draw over period i.
+  BudgetTree replica(make());
+  sums.push_back(replica.grant_sum_w(0));
+  overrun.push_back(replica.max_grant_overrun_w());
   for (int p = 0; p < 12; p++) {
     replica.Step();
-    sums.push_back(replica.budget_sum_w());
+    sums.push_back(replica.grant_sum_w(0));
+    overrun.push_back(replica.max_grant_overrun_w());
+    drawn.push_back(replica.measured_w(0));
   }
   int rising = -1;
   for (size_t k = 0; k + 1 < sums.size(); k++) {
@@ -185,23 +209,25 @@ TEST(Rack, RunRackChecksFinalArbitrationAgainstBudget) {
       break;
     }
   }
-  ASSERT_GE(rising, 0) << "deterministic demand run never raised the budget sum";
+  ASSERT_GE(rising, 0) << "deterministic demand run never raised the grant sum";
+  const size_t k = static_cast<size_t>(rising);
+  EXPECT_LE(sums[k + 1], make().budget_w + Watts{1e-9});
 
-  const RackResult result = RunRack(make(), /*warmup_s=*/Seconds{1.0 * rising},
-                                    /*measure_s=*/Seconds{1.0});
-  EXPECT_DOUBLE_EQ(result.max_budget_sum_w.value(),
-                   std::max(sums[static_cast<size_t>(rising)],
-                            sums[static_cast<size_t>(rising) + 1]).value());
+  const BudgetTreeResult result = RunBudgetTree(make(), /*warmup_s=*/Seconds{1.0 * rising},
+                                                /*measure_s=*/Seconds{1.0});
+  EXPECT_DOUBLE_EQ(result.avg_root_w.value(), drawn[k].value());
+  EXPECT_DOUBLE_EQ(result.max_grant_overrun_w.value(),
+                   std::max(overrun[k], overrun[k + 1]).value());
 }
 
 TEST(RackDeathTest, InvertedSocketBudgetBoundsAbort) {
   // min_budget_w above max_budget_w would make the arbiter's
   // std::clamp(demand, floor, ceiling) undefined behavior; construction
   // must refuse the config instead.
-  RackConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{160.0});
-  cfg.sockets[0].min_budget_w = Watts{80.0};
-  cfg.sockets[0].max_budget_w = Watts{40.0};
-  EXPECT_DEATH({ Rack rack(cfg); }, "floor above ceiling");
+  BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{160.0});
+  cfg.root.children[0].socket->min_budget_w = Watts{80.0};
+  cfg.root.children[0].socket->max_budget_w = Watts{40.0};
+  EXPECT_DEATH({ BudgetTree rack(cfg); }, "floor above ceiling");
 }
 
 // --- Many-core presets -------------------------------------------------------

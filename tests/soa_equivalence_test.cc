@@ -20,7 +20,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -33,32 +32,7 @@
 #include "src/specsim/spinlock.h"
 #include "src/specsim/websearch.h"
 #include "src/specsim/workload.h"
-
-// --- Allocation counter -------------------------------------------------------
-// Global operator new/delete overrides tallying every heap allocation in the
-// test binary.  The steady-state tick tests measure the delta across
-// Package::Tick calls; everything else (gtest bookkeeping, scenario setup)
-// is unaffected because only deltas are asserted.
-
-namespace {
-std::atomic<long> g_alloc_count{0};
-}  // namespace
-
-void* operator new(size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  return p;
-}
-
-void* operator new[](size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, size_t) noexcept { std::free(p); }
-void operator delete[](void* p, size_t) noexcept { std::free(p); }
+#include "tests/alloc_counter.h"
 
 namespace papd {
 namespace {
@@ -168,10 +142,10 @@ GoldenRun RunPriorityGolden() {
   GoldenRun run;
   TickHash hash;
   for (int t = 1; t <= kTotalTicks; t++) {
-    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    const long before = AllocationCount();
     pkg.Tick(kTick);
     if (t > kTotalTicks - 500) {
-      run.steady_tick_allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+      run.steady_tick_allocs += AllocationCount() - before;
     }
     if (t % kDaemonEveryTicks == 0) {
       daemon.Step();
@@ -211,10 +185,10 @@ GoldenRun RunSharesGolden() {
   GoldenRun run;
   TickHash hash;
   for (int t = 1; t <= kTotalTicks; t++) {
-    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    const long before = AllocationCount();
     pkg.Tick(kTick);
     if (t > kTotalTicks - 500) {
-      run.steady_tick_allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+      run.steady_tick_allocs += AllocationCount() - before;
     }
     if (t % kDaemonEveryTicks == 0) {
       daemon.Step();
@@ -264,10 +238,10 @@ GoldenRun RunWebsearchGolden() {
   GoldenRun run;
   TickHash hash;
   for (int t = 1; t <= kTotalTicks; t++) {
-    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    const long before = AllocationCount();
     pkg.Tick(kTick);
     if (t > kTotalTicks - 500) {
-      run.steady_tick_allocs += g_alloc_count.load(std::memory_order_relaxed) - before;
+      run.steady_tick_allocs += AllocationCount() - before;
     }
     if (t % kDaemonEveryTicks == 0) {
       daemon.Step();
@@ -403,11 +377,11 @@ TEST(SoaEquivalence, SteadyStateTickIsAllocationFree) {
     for (int t = 0; t < 1000; t++) {
       pkg.Tick(kTick);  // Warmup: volts caches, RNG pair caches.
     }
-    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    const long before = AllocationCount();
     for (int t = 0; t < 1000; t++) {
       pkg.Tick(kTick);
     }
-    const long after = g_alloc_count.load(std::memory_order_relaxed);
+    const long after = AllocationCount();
     EXPECT_EQ(after - before, 0) << "single-core tick path allocated";
   }
   // Spinlock multi-core work: the batch path must also be allocation-free.
@@ -419,11 +393,11 @@ TEST(SoaEquivalence, SteadyStateTickIsAllocationFree) {
     for (int t = 0; t < 1000; t++) {
       pkg.Tick(kTick);
     }
-    const long before = g_alloc_count.load(std::memory_order_relaxed);
+    const long before = AllocationCount();
     for (int t = 0; t < 1000; t++) {
       pkg.Tick(kTick);
     }
-    const long after = g_alloc_count.load(std::memory_order_relaxed);
+    const long after = AllocationCount();
     EXPECT_EQ(after - before, 0) << "spinlock batch tick path allocated";
   }
 }
@@ -444,11 +418,11 @@ TEST(SoaEquivalence, MultiRateTickIsAllocationFree) {
   for (int t = 0; t < 1000; t++) {
     pkg.Tick(kTick);
   }
-  const long before = g_alloc_count.load(std::memory_order_relaxed);
+  const long before = AllocationCount();
   for (int t = 0; t < 1000; t++) {
     pkg.Tick(kTick);
   }
-  const long after = g_alloc_count.load(std::memory_order_relaxed);
+  const long after = AllocationCount();
   EXPECT_EQ(after - before, 0) << "multi-rate tick path allocated";
   EXPECT_GT(pkg.tick_stats().fast_ticks, 0u)
       << "multi-rate never took the fast path for a steady gcc fleet";

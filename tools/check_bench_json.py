@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Schema check for perf_harness output (BENCH_scenarios.json).
 
-CI's perf-smoke job runs `perf_harness --quick` and validates the emitted
-JSON with this script.  The check is structural only: presence, types, and
+CI's simd job runs `perf_harness --quick` and validates the emitted JSON
+with this script.  The check is structural only: presence, types, and
 basic sanity (positive timings, non-empty sections).  It deliberately does
 NOT assert timing thresholds — CI runners are too noisy for that; regression
 triage reads the uploaded artifact instead.
