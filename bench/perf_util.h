@@ -1,7 +1,8 @@
-// Minimal benchmark timing utilities shared by perf_harness and the micro
-// benchmarks.  Replaces the google-benchmark dependency with the same
-// discipline: steady-clock timing, one discarded warmup batch, and batch
-// sizes calibrated until a run lasts at least min_time seconds.
+// Minimal benchmark timing utilities shared by perf_harness, the micro
+// benchmarks and the ctest perf gates.  Replaces the google-benchmark
+// dependency with the same discipline: steady-clock timing, one discarded
+// warmup batch, and batch sizes calibrated until a run lasts at least
+// min_time seconds.
 //
 // Two entry points:
 //   - perf::MeasureLoop(body, min_time_s): time a callable representing one

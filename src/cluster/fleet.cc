@@ -274,6 +274,7 @@ void Fleet::ResetStats() {
     measured_periods_[si] = 0;
     window_p90_[si] = Seconds{0.0};
     window_violated_[si] = 0;
+    *latency_hist_[si] = obs::Histogram(LatencyBucketsS());
   }
   window_periods_ = 0;
   root_power_sum_w_ = Watts{0.0};

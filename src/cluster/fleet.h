@@ -163,7 +163,8 @@ class Fleet {
   // One control period: tree step, per-socket window stats, SLO feedback.
   void Step(ThreadPool* pool = nullptr);
 
-  // Drops latency/violation accounting (call after warmup).
+  // Drops latency/violation accounting and the latency histograms (call
+  // after warmup).
   void ResetStats();
 
   BudgetTree& tree() { return *tree_; }

@@ -7,6 +7,7 @@
 
 #include "src/common/check.h"
 #include "src/experiments/batch.h"
+#include "src/obs/export.h"
 #include "src/policy/policy_registry.h"
 
 namespace papd {
@@ -317,11 +318,7 @@ std::string SweepResultToJson(const SweepResult& result) {
 }
 
 void WriteSweepJson(const SweepResult& result, const std::string& path) {
-  FILE* f = fopen(path.c_str(), "w");
-  PAPD_CHECK(f != nullptr) << " cannot open " << path;
-  const std::string json = SweepResultToJson(result);
-  fwrite(json.data(), 1, json.size(), f);
-  fclose(f);
+  PAPD_CHECK(obs::WriteFile(path, SweepResultToJson(result))) << " cannot write " << path;
 }
 
 }  // namespace papd

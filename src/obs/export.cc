@@ -173,8 +173,9 @@ bool WriteFile(const std::string& path, const std::string& content) {
     return false;
   }
   const size_t written = std::fwrite(content.data(), 1, content.size(), f);
-  std::fclose(f);
-  if (written != content.size()) {
+  // fclose flushes the stdio buffer, so a failed flush is a failed write.
+  const bool closed = std::fclose(f) == 0;
+  if (written != content.size() || !closed) {
     PAPD_LOG_ERROR("obs: short write to %s", path.c_str());
     return false;
   }

@@ -7,8 +7,8 @@
 //     tree grants become counter tracks Perfetto plots as time series.
 //   - CSV: the metrics registry's per-period snapshot rows, one column per
 //     scalar metric — the spreadsheet-side view of a run.
-//   - Metrics JSON: a flat JSON object for the perf_harness output block
-//     (validated by tools/check_bench_json.py).
+//   - Metrics JSON: one flat JSON object per snapshot, histograms with
+//     their buckets.
 
 #ifndef SRC_OBS_EXPORT_H_
 #define SRC_OBS_EXPORT_H_
@@ -36,7 +36,8 @@ std::string MetricsCsv(const MetricsRegistry& registry);
 // {"count": N, "sum": S, "buckets": [[upper_bound, count], ...]}.
 std::string MetricsJson(const MetricsSnapshot& metrics);
 
-// Writes `content` to `path`; returns false (and logs) on failure.
+// Writes `content` to `path`; returns false (and logs) when the open, the
+// write or the closing flush fails.
 bool WriteFile(const std::string& path, const std::string& content);
 
 }  // namespace obs

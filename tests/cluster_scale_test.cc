@@ -19,15 +19,21 @@
 //   3. Statistical equivalence where the hold is approximate: a held socket
 //      lands within the multi-rate tolerances (1.5% package energy, 2%
 //      per-core instructions) of the same socket stepping its daemon live.
+//
+//   4. The scale-out contract: a 131072-core tree with every fast path on
+//      holds the cap invariant, steps without allocating, and simulates at
+//      least 1e9 core-ticks per wall second.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <vector>
 
+#include "bench/perf_util.h"
 #include "src/cluster/budget_tree.h"
 #include "src/cluster/socket_stack.h"
 #include "src/experiments/scenarios.h"
@@ -35,6 +41,8 @@
 #include "src/platform/platform_spec.h"
 #include "src/specsim/spec2017.h"
 #include "src/specsim/workload.h"
+#include "tests/alloc_counter.h"
+#include "tests/perf_gate.h"
 
 namespace papd {
 namespace {
@@ -53,7 +61,7 @@ RackSocketConfig MakeSocket(uint64_t seed) {
 
 // The hold tests need a socket whose daemon actually quiesces: on the
 // many-core EPYC the share targets converge within ~6 periods at a 180 W
-// grant and stay put (the 100k-core bench's leaf config).  The small
+// grant and stay put (the 131072-core tree's leaf config).  The small
 // Skylake mix keeps hunting across its coarser P-state grid and never
 // clears the quiet streak, which is correct hold behavior but useless for
 // exercising the held path.
@@ -372,6 +380,71 @@ TEST(SocketHoldEquivalence, LoadedSocketWithinMultiRateTolerances) {
     EXPECT_NEAR(held.instructions[i] / ref.instructions[i], 1.0, 0.02)
         << "core " << i << " instruction total drifted beyond tolerance";
   }
+}
+
+// --- The 131072-core tree ----------------------------------------------------
+
+// 4 x 16 x 16 EPYC-128 sockets (1024 x 128 = 131072 cores) with every fast
+// path engaged: multi-rate ticking, socket hold, replica memoization, no
+// per-period history.  Identical seeds under the shares arbiter make grants
+// measurement-independent, so the tree collapses into one replica class.
+// After 12 warmup periods (the daemon converges in ~6, then the hold needs
+// its quiet streak), 4 measured periods must hold the cap invariant, touch
+// no heap, and step at least 1e9 simulated core-ticks per wall second.
+TEST(ClusterScale, Tree131kHoldsCapWithoutAllocating) {
+  constexpr int kRows = 4;
+  constexpr int kRacksPerRow = 16;
+  constexpr int kSocketsPerRack = 16;
+  constexpr int kWarmupSteps = 12;
+  constexpr int kMeasuredSteps = 4;
+  constexpr double kMinCoreTicksPerS = 1e9;
+
+  RackSocketConfig proto = MakeHoldSocket();
+  const int leaves = kRows * kRacksPerRow * kSocketsPerRack;
+  const int cores = leaves * proto.platform.num_cores;
+  ASSERT_GE(cores, 131072);
+  // 60% of the way from the tree's floor to its ceiling: the arbiter
+  // revokes, and every socket stays above its floor.
+  const Watts floor = SocketFloorW(proto);
+  const Watts budget_w{(floor + (SocketCeilingW(proto) - floor) * 0.6) *
+                       static_cast<double>(leaves)};
+  BudgetTreeConfig cfg = MakeUniformCluster(kRows, kRacksPerRow, kSocketsPerRack, proto,
+                                            budget_w, /*decorrelate_seeds=*/false);
+  cfg.arbiter = RackArbiterKind::kShares;
+  cfg.tick.policy = TickPolicy::kMultiRate;
+  cfg.tick.socket_hold = true;
+  cfg.tick.memoize_replicas = true;
+  cfg.record_history = false;
+  BudgetTree tree(cfg);
+  EXPECT_GE(tree.num_replica_classes(), 1);
+
+  for (int s = 0; s < kWarmupSteps; s++) {
+    tree.Step();
+  }
+  Watts overrun = tree.max_grant_overrun_w();
+  const long allocs_before = AllocationCount();
+  const Seconds start = perf::NowS();
+  for (int s = 0; s < kMeasuredSteps; s++) {
+    tree.Step();
+    overrun = std::max(overrun, tree.max_grant_overrun_w());
+  }
+  const Seconds wall = perf::NowS() - start;
+  const long allocs = AllocationCount() - allocs_before;
+
+  EXPECT_EQ(allocs, 0) << "steady-state tree steps allocated";
+  EXPECT_LE(overrun, Watts{1e-6}) << "child grants exceeded a parent grant";
+  EXPECT_GE(tree.num_live_leaves(), 1);
+  EXPECT_GE(tree.replica_hit_rate(), 0.0);
+  EXPECT_LE(tree.replica_hit_rate(), 1.0);
+
+  const double core_ticks_per_s =
+      cores * kMeasuredSteps * (cfg.control_period_s / cfg.tick_s) / wall.value();
+  std::printf("131072-core tree: %.3g simulated core-ticks/s (floor %.0e)\n",
+              core_ticks_per_s, kMinCoreTicksPerS);
+  if (!kWallClockGates) {
+    GTEST_SKIP() << "wall-clock floor needs an optimized, unsanitized build";
+  }
+  EXPECT_GE(core_ticks_per_s, kMinCoreTicksPerS);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -64,6 +65,10 @@ struct EventCase {
   // measurement).
   bool prearm_faults = false;
 };
+
+// Names the case in test output (and so in ctest's test names) instead of
+// gtest's default byte dump, which embeds the lambda's addresses.
+void PrintTo(const EventCase& ec, std::ostream* os) { *os << ec.name; }
 
 class MultiRateResync : public ::testing::TestWithParam<EventCase> {};
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -194,6 +195,12 @@ TEST(Exporters, MetricsJsonGolden) {
       "\"daemon.redistribute_latency_us\": "
       "{\"count\": 3, \"sum\": 105.5, \"buckets\": [[1, 1], [10, 1], [null, 1]]}}";
   EXPECT_EQ(obs::MetricsJson(registry.Export()), want);
+}
+
+// A full device accepts fwrite into stdio's buffer and fails the flush in
+// fclose; that failure is a failed write.
+TEST(Exporters, WriteFileReportsFailedFlush) {
+  EXPECT_FALSE(obs::WriteFile("/dev/full", "{}"));
 }
 
 // --- Daemon trace wiring -----------------------------------------------------
@@ -402,6 +409,16 @@ TEST(HarnessObsTest, RunScenarioReturnsTraceAndMetrics) {
   const ScenarioResult r = RunScenario(c);
   EXPECT_FALSE(r.trace_events.empty());
   EXPECT_FALSE(r.metrics.empty());
+  // The power gauge and the telemetry-validation counter are exported as
+  // scalars.
+  for (const char* name : {"daemon.pkg_w", "telemetry.invalid_samples"}) {
+    EXPECT_TRUE(std::any_of(r.metrics.begin(), r.metrics.end(),
+                            [name](const obs::MetricValue& m) {
+                              return m.name == name &&
+                                     m.kind != obs::MetricValue::Kind::kHistogram;
+                            }))
+        << name;
+  }
   // Without tracing, the events vector stays empty but metrics still come
   // back (the registry always runs).
   const ScenarioResult quiet = RunScenario(ShortScenario());

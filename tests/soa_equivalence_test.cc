@@ -11,9 +11,10 @@
 // PAPD_PRINT_GOLDEN=1; any arithmetic re-ordering in the tick path shows up
 // as a checksum mismatch on the very first divergent tick.
 //
-// The suite also asserts the refactor's other contract: steady-state
+// The suite also asserts the refactor's other contracts: steady-state
 // Package::Tick performs zero heap allocations (single-core and multi-core
-// work paths alike).
+// work paths alike), and multi-rate ticking is at least 5x faster than the
+// forced-scalar every-tick reference on a 128-core package.
 
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +26,8 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/perf_util.h"
+#include "src/common/stats.h"
 #include "src/cpusim/package.h"
 #include "src/msr/msr.h"
 #include "src/policy/daemon.h"
@@ -33,6 +36,7 @@
 #include "src/specsim/websearch.h"
 #include "src/specsim/workload.h"
 #include "tests/alloc_counter.h"
+#include "tests/perf_gate.h"
 
 namespace papd {
 namespace {
@@ -366,11 +370,14 @@ TEST(SoaEquivalence, SteadyStateTickIsAllocationFree) {
   if (PrintGolden()) {
     GTEST_SKIP() << "printing golden constants from the pre-refactor engine";
   }
-  // Single-core works only: strictly zero allocations per tick.
-  {
-    Package pkg(SkylakeXeon4114());
+  // Single-core works only: strictly zero allocations per tick, on the full
+  // 10-core Skylake and on an 8-core cut of it.
+  for (const int cores : {10, 8}) {
+    PlatformSpec spec = SkylakeXeon4114();
+    spec.num_cores = cores;
+    Package pkg(spec);
     std::vector<std::unique_ptr<Process>> procs;
-    for (int i = 0; i < 10; i++) {
+    for (int i = 0; i < cores; i++) {
       procs.push_back(std::make_unique<Process>(GetProfile("gcc"), 1 + i));
       pkg.AttachWork(i, procs.back().get());
     }
@@ -382,7 +389,7 @@ TEST(SoaEquivalence, SteadyStateTickIsAllocationFree) {
       pkg.Tick(kTick);
     }
     const long after = AllocationCount();
-    EXPECT_EQ(after - before, 0) << "single-core tick path allocated";
+    EXPECT_EQ(after - before, 0) << cores << "-core single-core tick path allocated";
   }
   // Spinlock multi-core work: the batch path must also be allocation-free.
   {
@@ -426,6 +433,67 @@ TEST(SoaEquivalence, MultiRateTickIsAllocationFree) {
   EXPECT_EQ(after - before, 0) << "multi-rate tick path allocated";
   EXPECT_GT(pkg.tick_stats().fast_ticks, 0u)
       << "multi-rate never took the fast path for a steady gcc fleet";
+}
+
+// The tick engine's perf contract: on the 128-core EPYC running 128 gcc
+// processes, the dispatched kernels with multi-rate ticking must tick at
+// least 5x faster than the forced-scalar every-tick reference.  Both
+// packages live in this process and tick in interleaved rounds, and the
+// round medians are compared, so the ratio is self-relative on any host.
+TEST(SoaEquivalence, MultiRateTicksFiveTimesFasterThanForcedScalar) {
+  constexpr int kWarmupTicks = 1000;
+  constexpr int kRoundTicks = 4000;
+  constexpr int kRounds = 9;
+  constexpr double kMinSpeedup = 5.0;
+  const PlatformSpec spec = ManyCoreEpyc128();
+
+  struct Engine {
+    std::unique_ptr<Package> pkg;
+    std::vector<std::unique_ptr<Process>> procs;
+    std::vector<double> round_s;
+  };
+  const auto build = [&spec](const char* kernel, TickPolicy policy) {
+    ForcedKernels forced(kernel);
+    EXPECT_TRUE(forced.ok()) << kernel;
+    Engine e;
+    e.pkg = std::make_unique<Package>(spec);
+    e.pkg->SetTickPolicy(policy);
+    for (int i = 0; i < spec.num_cores; i++) {
+      e.procs.push_back(
+          std::make_unique<Process>(GetProfile("gcc"), 1 + static_cast<uint64_t>(i)));
+      e.pkg->AttachWork(i, e.procs.back().get());
+    }
+    return e;
+  };
+  Engine scalar = build("scalar", TickPolicy::kEveryTick);
+  Engine multirate = build("auto", TickPolicy::kMultiRate);
+
+  const auto run = [](Engine& e, int ticks) {
+    const Seconds start = perf::NowS();
+    for (int t = 0; t < ticks; t++) {
+      e.pkg->Tick(kTick);
+    }
+    return (perf::NowS() - start).value();
+  };
+  run(scalar, kWarmupTicks);
+  run(multirate, kWarmupTicks);
+  for (int r = 0; r < kRounds; r++) {
+    scalar.round_s.push_back(run(scalar, kRoundTicks));
+    multirate.round_s.push_back(run(multirate, kRoundTicks));
+  }
+
+  EXPECT_STREQ(scalar.pkg->tick_kernel_name(), "scalar");
+  EXPECT_EQ(scalar.pkg->tick_stats().fast_ticks, 0u);
+  EXPECT_GT(multirate.pkg->tick_stats().fast_ticks, 0u)
+      << "multi-rate never took the fast path for a steady gcc fleet";
+
+  const double speedup = Percentile(scalar.round_s, 50.0) / Percentile(multirate.round_s, 50.0);
+  std::printf("multi-rate (%s) over forced scalar: %.2fx (floor %.1fx)\n",
+              multirate.pkg->tick_kernel_name(), speedup, kMinSpeedup);
+  if (!kWallClockGates) {
+    GTEST_SKIP() << "wall-clock floor needs an optimized, unsanitized build";
+  }
+  EXPECT_GE(speedup, kMinSpeedup);
 }
 
 }  // namespace

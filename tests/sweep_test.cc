@@ -217,5 +217,14 @@ TEST(SweepJson, ScenarioPointsCarryNoFleetDetail) {
   EXPECT_EQ(jp.Find("total_slo_violations"), nullptr);
 }
 
+// An artifact that did not reach the disk aborts the run, as an unopenable
+// path always did.
+TEST(SweepJsonDeathTest, FailedWriteAborts) {
+  SweepResult result;
+  result.name = "sc";
+  result.target = SweepTarget::kScenario;
+  EXPECT_DEATH(WriteSweepJson(result, "/dev/full"), "cannot write.*/dev/full");
+}
+
 }  // namespace
 }  // namespace papd

@@ -15,8 +15,7 @@
 // Policies: rapl, static, priority, freq-shares, perf-shares, power-shares.
 //
 // The `fleet` subcommand reads a sweep JSON artifact (WriteSweepJson — see
-// src/experiments/sweep.h and `perf_harness`'s fleet section): without
-// --point it tabulates every sweep point's fleet-level outcome; with
+// src/experiments/sweep.h): without --point it tabulates every sweep point's fleet-level outcome; with
 // --point NAME it drills into one point's per-socket grants, tail
 // latencies, and SLO violations.
 //
@@ -181,9 +180,8 @@ Options Parse(int argc, char** argv) {
 [[noreturn]] void FleetUsage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s fleet --sweep FILE [--point NAME]\n"
-               "reads a sweep artifact written by WriteSweepJson / the\n"
-               "perf_harness fleet section; --point drills into one sweep\n"
-               "point's per-socket detail\n",
+               "reads a sweep artifact written by WriteSweepJson;\n"
+               "--point drills into one sweep point's per-socket detail\n",
                argv0);
   std::exit(2);
 }
