@@ -60,7 +60,7 @@ PeriodResult Measure(Seconds period) {
   Simulator sim(&pkg);
   sim.AddPeriodic(period, [&](Seconds now) {
     daemon.Step();
-    const Watts pkg_w{daemon.history().back().sample.pkg_w};
+    const Watts pkg_w{daemon.last_sample().pkg_w};
     const double err = (pkg_w - kLimit).value();
     if (std::abs(err) < 1.5) {
       within++;
@@ -79,10 +79,10 @@ PeriodResult Measure(Seconds period) {
   result.steady_err_w = Watts{std::sqrt(steady_sq_err.mean())};
   Mhz ld_mhz{0.0};
   Mhz hd_mhz{0.0};
-  const auto& last = daemon.history().back();
+  const TelemetrySample& last = daemon.last_sample();
   for (size_t i = 0; i < apps.size(); i++) {
     (apps[i].name == "leela" ? ld_mhz : hd_mhz) +=
-        last.sample.cores[static_cast<size_t>(apps[i].cpu)].active_mhz / 5.0;
+        last.cores[static_cast<size_t>(apps[i].cpu)].active_mhz / 5.0;
   }
   result.steady_ratio = hd_mhz > Mhz{0.0} ? ld_mhz / hd_mhz : 0.0;
   return result;

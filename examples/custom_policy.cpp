@@ -111,11 +111,11 @@ int main() {
   sim.AddPeriodic(Seconds{1.0}, [&daemon](papd::Seconds) { daemon.Step(); });
   sim.Run(Seconds{60.0});
 
-  const auto& rec = daemon.history().back();
+  const TelemetrySample& sample = daemon.last_sample();
   std::printf("efficiency shares under a 30 W limit (equal configured shares):\n");
-  std::printf("  package power %5.1f W\n", rec.sample.pkg_w.value());
+  std::printf("  package power %5.1f W\n", sample.pkg_w.value());
   for (const auto& app : apps) {
-    const auto& core = rec.sample.cores[static_cast<size_t>(app.cpu)];
+    const auto& core = sample.cores[static_cast<size_t>(app.cpu)];
     const Watts core_w = core.core_w.value_or(Watts{0.0});
     std::printf("  %-10s %5.0f MHz  %5.2f Ginstr/s  %4.1f W  %5.2f Ginstr/J\n",
                 app.name.c_str(), core.active_mhz.value(), core.ips.value() / 1e9, core_w.value(),

@@ -73,13 +73,13 @@ int main() {
     }
     sim.Run(Seconds{10.0});
 
-    const auto& rec = daemon.history().back();
+    const TelemetrySample& sample = daemon.last_sample();
     Mhz hp_mhz{0.0};
     Mhz lp_mhz{0.0};
     int hp_n = 0;
     int lp_running = 0;
     for (size_t i = 0; i < apps.size(); i++) {
-      const auto& core = rec.sample.cores[static_cast<size_t>(apps[i].cpu)];
+      const auto& core = sample.cores[static_cast<size_t>(apps[i].cpu)];
       if (apps[i].high_priority) {
         hp_mhz += core.active_mhz;
         hp_n++;
@@ -89,7 +89,7 @@ int main() {
       }
     }
     std::printf("%6.0f %6.0f %8.1f %10.0f %10.0f %7d/6\n", sim.now().value(),
-                daemon.config().power_limit_w.value(), rec.sample.pkg_w.value(),
+                daemon.config().power_limit_w.value(), sample.pkg_w.value(),
                 (hp_mhz / hp_n).value(),
                 lp_running ? (lp_mhz / lp_running).value() : 0.0, lp_running);
   }

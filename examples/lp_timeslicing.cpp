@@ -72,7 +72,7 @@ int main() {
   // --- Phase 1: space sharing --------------------------------------------
   sim.Run(Seconds{60.0});
   std::printf("phase 1 (space sharing, 40 W): pkg %.1f W\n",
-              daemon.history().back().sample.pkg_w.value());
+              daemon.last_sample().pkg_w.value());
   std::vector<double> instr_phase1;
   for (int i = 0; i < 4; i++) {
     instr_phase1.push_back(lp[static_cast<size_t>(i)]->instructions_retired());
@@ -112,11 +112,10 @@ int main() {
   sim2.Run(Seconds{60.0});
 
   std::printf("\nphase 2 (LP jobs time-sliced on core 3, 40 W): pkg %.1f W\n",
-              daemon2.history().back().sample.pkg_w.value());
-  const auto& rec = daemon2.history().back();
+              daemon2.last_sample().pkg_w.value());
   std::printf("  HP cores at %4.0f MHz (was %4.0f at phase 1 end)\n",
-              rec.sample.cores[0].active_mhz.value(),
-              daemon.history().back().sample.cores[0].active_mhz.value());
+              daemon2.last_sample().cores[0].active_mhz.value(),
+              daemon.last_sample().cores[0].active_mhz.value());
   for (int i = 0; i < 4; i++) {
     const double delta =
         lp[static_cast<size_t>(i)]->instructions_retired() - instr_phase1[static_cast<size_t>(i)];

@@ -50,12 +50,13 @@ int main() {
   sim.AddPeriodic(/*period_s=*/Seconds{1.0}, [&daemon](Seconds) { daemon.Step(); });
   sim.Run(/*duration_s=*/Seconds{30.0});
 
-  // 5. Inspect the outcome through the daemon's telemetry history.
-  const auto& record = daemon.history().back();
+  // 5. Inspect the outcome through the telemetry sample the daemon acted on
+  //    last (its metrics() rows hold the per-period series).
+  const TelemetrySample& sample = daemon.last_sample();
   std::printf("after %2.0f s under a 22 W limit:\n", sim.now().value());
-  std::printf("  package power      %5.1f W\n", record.sample.pkg_w.value());
+  std::printf("  package power      %5.1f W\n", sample.pkg_w.value());
   for (const ManagedApp& app : apps) {
-    const auto& core = record.sample.cores[static_cast<size_t>(app.cpu)];
+    const auto& core = sample.cores[static_cast<size_t>(app.cpu)];
     std::printf("  %-11s (%2.0f shares)  %4.0f MHz  %5.2f Ginstr/s\n", app.name.c_str(),
                 app.shares, core.active_mhz.value(), core.ips.value() / 1e9);
   }

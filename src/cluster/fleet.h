@@ -214,7 +214,7 @@ class Fleet {
   Watts max_overrun_w_{0.0};
 
   obs::MetricsRegistry metrics_;
-  std::vector<obs::Histogram*> latency_hist_;  // Per socket, milliseconds.
+  std::vector<obs::Histogram*> latency_hist_;  // Per socket, seconds.
 };
 
 // Warmup + measure driver, mirroring RunBudgetTree / RunScenario.

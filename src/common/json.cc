@@ -1,11 +1,29 @@
 #include "src/common/json.h"
 
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
+#include "src/common/check.h"
+
 namespace papd {
 namespace json {
+
+void Appendf(std::string* out, const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  va_list measure;
+  va_copy(measure, args);
+  const int n = std::vsnprintf(nullptr, 0, fmt, measure);
+  va_end(measure);
+  PAPD_CHECK_GE(n, 0) << " bad format: " << fmt;
+  const size_t start = out->size();
+  out->resize(start + static_cast<size_t>(n));
+  // vsnprintf's terminator overwrites the string's own, with '\0'.
+  std::vsnprintf(out->data() + start, static_cast<size_t>(n) + 1, fmt, args);
+  va_end(args);
+}
 
 const Value* Value::Find(const std::string& key) const {
   if (!is_object()) {

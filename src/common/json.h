@@ -5,9 +5,9 @@
 // needs to read those artifacts back.  This is a small recursive-descent
 // parser for exactly that job: strict enough for well-formed documents,
 // with position-carrying error messages, and nothing else — no SAX
-// interface, no mutation, no writer (writers stay fprintf at the
-// producers).  Documents it did not produce (NaN/Infinity literals,
-// comments, trailing commas) are rejected.
+// interface, no mutation, no writer (writers stay printf at the producers,
+// through Appendf below).  Documents it did not produce (NaN/Infinity
+// literals, comments, trailing commas) are rejected.
 
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
@@ -81,6 +81,9 @@ struct ParseResult {
 // Parses one complete JSON document (trailing whitespace allowed, trailing
 // garbage rejected).
 ParseResult Parse(const std::string& text);
+
+// Appends printf-formatted text to *out, however long it formats to.
+void Appendf(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 }  // namespace json
 }  // namespace papd

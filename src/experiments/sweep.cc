@@ -1,11 +1,11 @@
 #include "src/experiments/sweep.h"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 #include "src/experiments/batch.h"
 #include "src/obs/export.h"
 #include "src/policy/policy_registry.h"
@@ -14,17 +14,7 @@ namespace papd {
 
 namespace {
 
-void Appendf(std::string* out, const char* fmt, ...)
-    __attribute__((format(printf, 2, 3)));
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
-  va_start(args, fmt);
-  const int n = vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  out->append(buf, static_cast<size_t>(n) < sizeof(buf) ? static_cast<size_t>(n)
-                                                        : sizeof(buf) - 1);
-}
+using json::Appendf;
 
 std::string JsonEscape(const std::string& s) {
   std::string out;

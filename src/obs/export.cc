@@ -1,14 +1,15 @@
 #include "src/obs/export.h"
 
-#include <algorithm>
-#include <cstdarg>
 #include <cstdio>
 
+#include "src/common/json.h"
 #include "src/common/logging.h"
 
 namespace papd {
 namespace obs {
 namespace {
+
+using json::Appendf;
 
 // Ladder-state labels for TraceEvent code values (matching the
 // DegradationState enum order; daemon.cc static_asserts the mapping).
@@ -22,19 +23,6 @@ const char* LadderName(int32_t code) {
       return "fallback";
     default:
       return "?";
-  }
-}
-
-void Appendf(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
-
-void Appendf(std::string* out, const char* fmt, ...) {
-  char buf[256];
-  va_list args;
-  va_start(args, fmt);
-  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
-  va_end(args);
-  if (n > 0) {
-    out->append(buf, std::min(static_cast<size_t>(n), sizeof(buf) - 1));
   }
 }
 

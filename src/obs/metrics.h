@@ -10,9 +10,9 @@
 //
 // Snapshot(t) appends the current value of every scalar metric (counters
 // and gauges) as one time-series row; the daemon calls it once per control
-// period, which is what the CSV exporter turns into a per-period trace.
-// Histograms are not part of the row (they are distributions, not
-// time-points) and are exported whole.
+// period, and these rows are its one per-period series (the CSV exporter's
+// per-period trace).  Histograms are not part of the row (they are
+// distributions, not time-points) and are exported whole.
 //
 // A registry belongs to one component (one PowerDaemon); it is not
 // thread-safe.  Budget-tree leaves each own their daemon's registry, so

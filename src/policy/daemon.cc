@@ -130,7 +130,7 @@ void PowerDaemon::Emit(obs::TraceEventType type, int32_t index, int32_t code,
     return;
   }
   obs::TraceEvent event;
-  event.t = last_sample_t_;
+  event.t = last_sample_.t;
   event.type = type;
   event.shard = config_.obs.shard;
   event.index = index;
@@ -180,29 +180,28 @@ void PowerDaemon::Start() {
 
 void PowerDaemon::Step() {
   const auto wall_start = std::chrono::steady_clock::now();
-  TelemetrySample sample = turbostat_.Sample();
-  last_sample_t_ = sample.t;
+  last_sample_ = turbostat_.Sample();
   const int period = period_;
   period_++;
-  g_pkg_w_->Set(sample.pkg_w);
-  h_overshoot_w_->Observe(std::max(Watts{0.0}, sample.pkg_w - config_.power_limit_w));
-  Emit(obs::TraceEventType::kPeriodBegin, period, static_cast<int32_t>(state_), sample.pkg_w,
-       config_.power_limit_w);
+  g_pkg_w_->Set(last_sample_.pkg_w);
+  h_overshoot_w_->Observe(std::max(Watts{0.0}, last_sample_.pkg_w - config_.power_limit_w));
+  Emit(obs::TraceEventType::kPeriodBegin, period, static_cast<int32_t>(state_),
+       last_sample_.pkg_w, config_.power_limit_w);
   {
     // Deep library code (min-funding revocation) traces through the
     // thread-local context for the duration of the control body.
-    obs::ScopedThreadTrace trace_scope(config_.obs.sink, sample.t, config_.obs.shard);
-    StepWithSample(std::move(sample));
+    obs::ScopedThreadTrace trace_scope(config_.obs.sink, last_sample_.t, config_.obs.shard);
+    StepWithSample(last_sample_);
   }
   const double latency_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - wall_start)
           .count();
   h_redistribute_us_->Observe(latency_us);
-  metrics_.Snapshot(last_sample_t_);
+  metrics_.Snapshot(last_sample_.t);
   Emit(obs::TraceEventType::kPeriodEnd, period, static_cast<int32_t>(state_), latency_us, 0.0);
 }
 
-void PowerDaemon::StepWithSample(TelemetrySample sample) {
+void PowerDaemon::StepWithSample(const TelemetrySample& sample) {
   if (config_.degradation.enabled && !sample.valid) {
     // Degradation ladder, invalid rung: the policy's internal state is
     // deliberately frozen — no Redistribute call — so the first valid
@@ -225,7 +224,6 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
       c_held_periods_->Increment();
       // Hold: last-known-good targets stay programmed; touch nothing.
     }
-    history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
     return;
   }
 
@@ -240,7 +238,6 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
     TransitionLadder(DegradationState::kNominal);
     bad_sample_streak_ = 0;
     Program(targets_);
-    history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
     return;
   }
   bad_sample_streak_ = 0;
@@ -253,7 +250,6 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
     // Retry the pending program (subject to backoff) and control resumes
     // once a read-back confirms it landed.
     Program(last_programmed_want_);
-    history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
     return;
   }
 
@@ -305,7 +301,6 @@ void PowerDaemon::StepWithSample(TelemetrySample sample) {
   if (auditor_ != nullptr && ActivelyControlling()) {
     auditor_->CheckPowerCeiling(sample, config_.power_limit_w, targets_);
   }
-  history_.push_back(Record{.sample = std::move(sample), .targets = targets_, .state = state_});
 }
 
 bool PowerDaemon::ActivelyControlling() const { return GetPolicyInfo(config_.kind).controls; }

@@ -174,12 +174,9 @@ class PowerDaemon {
   const std::vector<ManagedApp>& apps() const { return apps_; }
   const DaemonConfig& config() const { return config_; }
 
-  struct Record {
-    TelemetrySample sample;
-    std::vector<Mhz> targets;
-    DegradationState state = DegradationState::kNominal;
-  };
-  const std::vector<Record>& history() const { return history_; }
+  // The sample the last Step() acted on (no cores before the first Step()).
+  // No older sample is kept; metrics() rows hold the per-period series.
+  const TelemetrySample& last_sample() const { return last_sample_; }
 
   // Platform constants handed to the policies (exposed for tests).
   const PolicyPlatform& policy_platform() const { return platform_; }
@@ -195,16 +192,16 @@ class PowerDaemon {
   int write_fail_streak() const { return write_fail_streak_; }
 
   // --- Observability ----------------------------------------------------------
-  // The daemon's metrics registry: fault counters, per-period gauges
-  // (package power, overshoot), redistribute-latency histogram.  One row is
-  // snapshotted per Step(); export with obs::MetricsCsv / obs::MetricsJson.
+  // The daemon's metrics registry: fault counters, gauges (daemon.pkg_w,
+  // daemon.ladder_state) and histograms.  Its rows, one per Step(), are the
+  // daemon's one per-period series; export with obs::MetricsCsv/MetricsJson.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   obs::MetricsRegistry& metrics() { return metrics_; }
 
  private:
   // The control-loop body; Step() wraps it with period begin/end tracing,
   // the latency measurement and the per-period metrics snapshot.
-  void StepWithSample(TelemetrySample sample);
+  void StepWithSample(const TelemetrySample& sample);
   // Translates `want` into hardware writes (online transitions, Ryzen slot
   // selection or Skylake per-core ratios) and runs the translation audit.
   void ProgramTargets(const std::vector<Mhz>& want);
@@ -249,7 +246,7 @@ class PowerDaemon {
   std::unique_ptr<PolicyAuditor> auditor_;
 
   std::vector<Mhz> targets_;
-  std::vector<Record> history_;
+  TelemetrySample last_sample_;
 
   // --- Observability state ----------------------------------------------------
   obs::MetricsRegistry metrics_;
@@ -263,10 +260,8 @@ class PowerDaemon {
   obs::Gauge* g_ladder_ = nullptr;
   obs::Histogram* h_redistribute_us_ = nullptr;
   obs::Histogram* h_overshoot_w_ = nullptr;
-  // Control periods completed (trace-event index) and the simulated time of
-  // the last telemetry sample (trace-event timestamp).
+  // Control periods completed (trace-event index).
   int period_ = 0;
-  Seconds last_sample_t_{0.0};
 
   // --- Degradation-ladder state ----------------------------------------------
   DegradationState state_ = DegradationState::kNominal;

@@ -3,11 +3,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
+#include "src/msr/fault_plan.h"
 #include "src/msr/msr.h"
 #include "src/policy/daemon.h"
 #include "src/specsim/spec2017.h"
@@ -43,6 +49,17 @@ struct Rig {
   std::vector<ManagedApp> apps;
 };
 
+// Column `name` of the daemon's metrics rows: its per-period series.
+std::vector<double> Series(const PowerDaemon& daemon, const std::string& name) {
+  const std::vector<std::string>& names = daemon.metrics().scalar_names();
+  const auto col = static_cast<size_t>(std::find(names.begin(), names.end(), name) - names.begin());
+  std::vector<double> series;
+  for (const obs::MetricsRegistry::Row& row : daemon.metrics().rows()) {
+    series.push_back(row.values.at(col));
+  }
+  return series;
+}
+
 TEST(DaemonSkylake, StartProgramsInitialDistribution) {
   Rig rig(SkylakeXeon4114());
   rig.AddApp("leela", 100);
@@ -64,10 +81,11 @@ TEST(DaemonSkylake, ConvergesToPowerLimit) {
   daemon.Start();
   rig.Run(&daemon, Seconds{60.0});
   // Average package power over the last samples near the limit.
+  const std::vector<double> pkg_w = Series(daemon, "daemon.pkg_w");
   Watts avg{0.0};
   int n = 0;
-  for (size_t i = daemon.history().size() - 10; i < daemon.history().size(); i++) {
-    avg += daemon.history()[i].sample.pkg_w;
+  for (size_t i = pkg_w.size() - 10; i < pkg_w.size(); i++) {
+    avg += Watts{pkg_w[i]};
     n++;
   }
   avg /= n;
@@ -127,11 +145,48 @@ TEST(DaemonSkylake, HistoryRecordsSamplesAndTargets) {
                                           .power_limit_w = Watts{40}});
   daemon.Start();
   rig.Run(&daemon, Seconds{5.0});
-  ASSERT_EQ(daemon.history().size(), 5u);
-  for (const auto& rec : daemon.history()) {
-    EXPECT_GT(rec.sample.pkg_w, Watts{0.0});
-    EXPECT_EQ(rec.targets.size(), 1u);
+  const std::vector<double> pkg_w = Series(daemon, "daemon.pkg_w");
+  ASSERT_EQ(pkg_w.size(), 5u);
+  for (const double w : pkg_w) {
+    EXPECT_GT(Watts{w}, Watts{0.0});
   }
+  EXPECT_EQ(daemon.targets().size(), 1u);
+}
+
+// The metrics rows are the daemon's one per-period series: after every
+// Step() the newest row holds the sample the daemon acted on and the ladder
+// state it left, through nominal, hold and fallback periods alike.
+TEST(DaemonSkylake, MetricsRowsAreThePerPeriodSeries) {
+  Rig rig(SkylakeXeon4114());
+  rig.AddApp("gcc", 1.0);
+  rig.AddApp("leela", 1.0);
+  PowerDaemon daemon(&rig.msr, rig.apps, {.kind = PolicyKind::kFrequencyShares,
+                                          .power_limit_w = Watts{40}});
+  daemon.Start();
+  size_t steps = 0;
+  std::set<DegradationState> visited;
+  Simulator sim(&rig.pkg);
+  sim.AddPeriodic(Seconds{1.0}, [&](Seconds) {
+    daemon.Step();
+    steps++;
+    ASSERT_EQ(daemon.metrics().rows().size(), steps);
+    EXPECT_EQ(std::bit_cast<uint64_t>(Series(daemon, "daemon.pkg_w").back()),
+              std::bit_cast<uint64_t>(daemon.last_sample().pkg_w.value()));
+    EXPECT_EQ(Series(daemon, "daemon.ladder_state").back(),
+              static_cast<double>(daemon.degradation_state()));
+    visited.insert(daemon.degradation_state());
+  });
+  sim.Run(Seconds{5.0});
+  FaultPlan stale_storm;
+  stale_storm.seed = 11;
+  stale_storm.stale_sample_p = 1.0;
+  rig.msr.EnableFaults(stale_storm);
+  sim.Run(Seconds{5.0});  // Two held periods, then fallback.
+  rig.msr.EnableFaults(FaultPlan{});
+  sim.Run(Seconds{5.0});
+  EXPECT_EQ(steps, 15u);
+  EXPECT_EQ(visited.size(), 3u);
+  EXPECT_EQ(daemon.degradation_state(), DegradationState::kNominal);
 }
 
 TEST(DaemonRyzen, ThreePstateInvariantHolds) {
@@ -162,9 +217,10 @@ TEST(DaemonRyzen, PowerSharesConvergesToLimit) {
                                           .power_limit_w = Watts{40}});
   daemon.Start();
   rig.Run(&daemon, Seconds{60.0});
+  const std::vector<double> pkg_w = Series(daemon, "daemon.pkg_w");
   Watts avg{0.0};
-  for (size_t i = daemon.history().size() - 10; i < daemon.history().size(); i++) {
-    avg += daemon.history()[i].sample.pkg_w;
+  for (size_t i = pkg_w.size() - 10; i < pkg_w.size(); i++) {
+    avg += Watts{pkg_w[i]};
   }
   avg /= 10.0;
   EXPECT_NEAR(avg.value(), 40.0, 2.5);
@@ -179,10 +235,10 @@ TEST(DaemonRyzen, PowerSharesProportionalCorePower) {
   daemon.Start();
   rig.Run(&daemon, Seconds{90.0});
   // Compare measured per-core power over the last sample.
-  const auto& rec = daemon.history().back();
-  ASSERT_TRUE(rec.sample.cores[0].core_w.has_value());
-  const Watts w0 = *rec.sample.cores[0].core_w;
-  const Watts w1 = *rec.sample.cores[1].core_w;
+  const TelemetrySample& sample = daemon.last_sample();
+  ASSERT_TRUE(sample.cores[0].core_w.has_value());
+  const Watts w0 = *sample.cores[0].core_w;
+  const Watts w1 = *sample.cores[1].core_w;
   // 3:1 power split, within the tolerance the frequency floor allows.
   EXPECT_GT(w0 / w1, 1.8);
 }
@@ -196,10 +252,10 @@ TEST(DaemonSkylake, SetPowerLimitTakesEffect) {
                      {.kind = PolicyKind::kFrequencyShares, .power_limit_w = Watts{60}});
   daemon.Start();
   rig.Run(&daemon, Seconds{30.0});
-  EXPECT_NEAR(daemon.history().back().sample.pkg_w.value(), 60.0, 4.0);
+  EXPECT_NEAR(daemon.last_sample().pkg_w.value(), 60.0, 4.0);
   daemon.SetPowerLimit(Watts{40.0});
   rig.Run(&daemon, Seconds{30.0});
-  EXPECT_NEAR(daemon.history().back().sample.pkg_w.value(), 40.0, 3.0);
+  EXPECT_NEAR(daemon.last_sample().pkg_w.value(), 40.0, 3.0);
 }
 
 TEST(DaemonSkylake, SetPowerLimitReprogramsRaplRegister) {

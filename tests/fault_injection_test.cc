@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/cpusim/package.h"
@@ -63,6 +65,17 @@ DaemonConfig NaiveConfig(PolicyKind kind, Watts limit_w) {
   cfg.raw_telemetry = true;
   cfg.audit = false;
   return cfg;
+}
+
+// Column `name` of the daemon's metrics rows: its per-period series.
+std::vector<double> Series(const PowerDaemon& daemon, const std::string& name) {
+  const std::vector<std::string>& names = daemon.metrics().scalar_names();
+  const auto col = static_cast<size_t>(std::find(names.begin(), names.end(), name) - names.begin());
+  std::vector<double> series;
+  for (const obs::MetricsRegistry::Row& row : daemon.metrics().rows()) {
+    series.push_back(row.values.at(col));
+  }
+  return series;
 }
 
 FaultPlan StaleStorm() {
@@ -172,13 +185,13 @@ TEST(FaultInjection, HistoryRecordsLadderStates) {
   rig.Run(&daemon, Seconds{5.0});
   rig.msr.EnableFaults(StaleStorm());
   rig.Run(&daemon, Seconds{5.0});
-  const auto& h = daemon.history();
-  ASSERT_EQ(h.size(), 10u);
-  EXPECT_EQ(h[4].state, DegradationState::kNominal);
-  EXPECT_EQ(h[5].state, DegradationState::kHold);
-  EXPECT_EQ(h[6].state, DegradationState::kHold);
+  const std::vector<double> ladder = Series(daemon, "daemon.ladder_state");
+  ASSERT_EQ(ladder.size(), 10u);
+  EXPECT_EQ(ladder[4], static_cast<double>(DegradationState::kNominal));
+  EXPECT_EQ(ladder[5], static_cast<double>(DegradationState::kHold));
+  EXPECT_EQ(ladder[6], static_cast<double>(DegradationState::kHold));
   for (size_t i = 7; i < 10; i++) {
-    EXPECT_EQ(h[i].state, DegradationState::kFallback);
+    EXPECT_EQ(ladder[i], static_cast<double>(DegradationState::kFallback));
   }
 }
 

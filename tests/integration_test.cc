@@ -353,12 +353,12 @@ TEST(DemandDrop, CompletionRedistributesPowerToRemainingApps) {
   sim.RunUntil([&finishing] { return finishing.finished(); }, Seconds{120.0},
                /*check_period_s=*/Seconds{0.1});
   ASSERT_TRUE(finishing.finished());
-  const Mhz before{daemon.history().back().sample.cores[1].active_mhz};
+  const Mhz before{daemon.last_sample().cores[1].active_mhz};
   sim.Run(Seconds{20.0});  // Let the controller absorb the freed power.
-  const Mhz after{daemon.history().back().sample.cores[1].active_mhz};
+  const Mhz after{daemon.last_sample().cores[1].active_mhz};
   EXPECT_GT(after, before + Mhz{100.0});
   // Package power returns to (near) the limit.
-  EXPECT_GT(daemon.history().back().sample.pkg_w, Watts{18.0});
+  EXPECT_GT(daemon.last_sample().pkg_w, Watts{18.0});
 }
 
 // ---- Section 5.2 caveat: IPS misleads on lock-contended code.
@@ -399,13 +399,13 @@ TEST(SpinlockVsPolicies, SpinningCoresReportHealthyIpsWhileConvoyed) {
   sim.AddPeriodic(Seconds{1.0}, [&daemon](Seconds) { daemon.Step(); });
   sim.Run(Seconds{40.0});
 
-  const auto& rec = daemon.history().back();
+  const TelemetrySample& sample = daemon.last_sample();
   // Telemetry on the spinlock cores reports substantial IPS...
   Ips min_ips{1e18};
   Mhz min_mhz{1e9};
   for (int c = 0; c < 4; c++) {
-    min_ips = std::min(min_ips, rec.sample.cores[static_cast<size_t>(c)].ips);
-    min_mhz = std::min(min_mhz, rec.sample.cores[static_cast<size_t>(c)].active_mhz);
+    min_ips = std::min(min_ips, sample.cores[static_cast<size_t>(c)].ips);
+    min_mhz = std::min(min_mhz, sample.cores[static_cast<size_t>(c)].active_mhz);
   }
   EXPECT_GT(min_ips, 0.8 * IpsAtMhz(min_mhz, /*ipc=*/1.0));
   // ...but the useful work per retired instruction is far below 1: most

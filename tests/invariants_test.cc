@@ -143,7 +143,7 @@ TEST_P(AuditedDaemonRun, InvariantsHoldOverRandomizedRuns) {
     rig.Run(&daemon, Seconds{40.0});
 
     EXPECT_EQ(daemon.auditor()->violation_count(), 0);
-    EXPECT_GE(daemon.history().size(), 95u);
+    EXPECT_GE(daemon.metrics().rows().size(), 95u);
   }
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/cluster/budget_tree.h"
+#include "src/common/json.h"
 #include "src/common/thread_pool.h"
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
@@ -197,6 +198,16 @@ TEST(Exporters, MetricsJsonGolden) {
   EXPECT_EQ(obs::MetricsJson(registry.Export()), want);
 }
 
+// A record longer than any fixed format buffer is written whole.
+TEST(Exporters, MetricsJsonLongNameParses) {
+  obs::MetricsRegistry registry;
+  const std::string name(300, 'g');
+  registry.GetGauge(name)->Set(1.5);
+  const json::ParseResult parsed = json::Parse(obs::MetricsJson(registry.Export()));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_DOUBLE_EQ(parsed.value.NumberOr(name, 0.0), 1.5);
+}
+
 // A full device accepts fwrite into stdio's buffer and fails the flush in
 // fclose; that failure is a failed write.
 TEST(Exporters, WriteFileReportsFailedFlush) {
@@ -221,7 +232,11 @@ TEST(DaemonObsTest, PeriodEventsMatchHistory) {
   PowerDaemon daemon(&msr, apps, cfg);
   daemon.Start();
   Simulator sim(&pkg);
-  sim.AddPeriodic(Seconds{1.0}, [&daemon](Seconds) { daemon.Step(); });
+  size_t steps = 0;
+  sim.AddPeriodic(Seconds{1.0}, [&daemon, &steps](Seconds) {
+    daemon.Step();
+    steps++;
+  });
   sim.Run(Seconds{20.0});
 
   const std::vector<obs::TraceEvent> events = recorder.Drain();
@@ -251,11 +266,11 @@ TEST(DaemonObsTest, PeriodEventsMatchHistory) {
         break;
     }
   }
-  EXPECT_EQ(begins, static_cast<int>(daemon.history().size()));
+  EXPECT_EQ(begins, static_cast<int>(steps));
   EXPECT_EQ(ends, begins);
   EXPECT_GT(pstate_writes, 0);
   // One metrics row per period, stamped with simulated time.
-  EXPECT_EQ(daemon.metrics().rows().size(), daemon.history().size());
+  EXPECT_EQ(daemon.metrics().rows().size(), steps);
 }
 
 // --- Unified fault counters --------------------------------------------------

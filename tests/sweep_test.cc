@@ -217,6 +217,24 @@ TEST(SweepJson, ScenarioPointsCarryNoFleetDetail) {
   EXPECT_EQ(jp.Find("total_slo_violations"), nullptr);
 }
 
+// Records longer than any fixed format buffer are written whole.
+TEST(SweepJson, LongNamesRoundTrip) {
+  SweepResult result;
+  result.name = std::string(600, 's');
+  result.target = SweepTarget::kScenario;
+  SweepPointResult p;
+  p.point.name = std::string(600, 'p');
+  p.point.policy = "rapl";
+  result.points.push_back(std::move(p));
+
+  const json::ParseResult parsed = json::Parse(SweepResultToJson(result));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.value.StringOr("sweep", ""), std::string(600, 's'));
+  const json::Value& jp = parsed.value.Find("points")->AsArray()[0];
+  EXPECT_EQ(jp.StringOr("name", ""), std::string(600, 'p'));
+  EXPECT_EQ(jp.StringOr("policy", ""), "rapl");
+}
+
 // An artifact that did not reach the disk aborts the run, as an unopenable
 // path always did.
 TEST(SweepJsonDeathTest, FailedWriteAborts) {

@@ -317,6 +317,17 @@ int RunFleetCommand(int argc, char** argv) {
 }
 
 int Run(const Options& opt) {
+  // The per-period trace is written as each period closes, so a path that
+  // cannot be opened fails before anything is simulated.
+  std::ofstream csv;
+  if (!opt.csv_path.empty()) {
+    csv.open(opt.csv_path);
+    if (!csv) {
+      std::fprintf(stderr, "cannot write %s\n", opt.csv_path.c_str());
+      return 1;
+    }
+  }
+
   Package pkg(opt.platform);
   MsrFile msr(&pkg);
 
@@ -352,19 +363,39 @@ int Run(const Options& opt) {
               opt.platform.name.c_str(), PolicyKindName(opt.policy), opt.limit_w.value(),
               opt.apps.size(), opt.duration_s.value());
 
+  if (csv.is_open()) {
+    csv << "t,pkg_w";
+    for (const ManagedApp& app : daemon.apps()) {
+      csv << "," << app.name << "_mhz," << app.name << "_ips";
+    }
+    csv << "\n";
+  }
+
   Simulator sim(&pkg);
   if (opt.policy != PolicyKind::kStatic) {
-    sim.AddPeriodic(opt.period_s, [&daemon](Seconds) { daemon.Step(); });
+    sim.AddPeriodic(opt.period_s, [&daemon, &csv](Seconds) {
+      daemon.Step();
+      if (!csv.is_open()) {
+        return;
+      }
+      const TelemetrySample& sample = daemon.last_sample();
+      csv << sample.t << "," << sample.pkg_w;
+      for (const ManagedApp& app : daemon.apps()) {
+        const auto& core = sample.cores[static_cast<size_t>(app.cpu)];
+        csv << "," << core.active_mhz << "," << core.ips;
+      }
+      csv << "\n";
+    });
   }
   if (opt.trace) {
     sim.AddPeriodic(Seconds{5.0}, [&daemon](Seconds now) {
-      if (daemon.history().empty()) {
-        return;
+      if (daemon.metrics().rows().empty()) {
+        return;  // No control period has closed yet.
       }
-      const auto& rec = daemon.history().back();
-      std::printf("t=%5.0fs pkg=%5.1fW |", now.value(), rec.sample.pkg_w.value());
+      const TelemetrySample& sample = daemon.last_sample();
+      std::printf("t=%5.0fs pkg=%5.1fW |", now.value(), sample.pkg_w.value());
       for (const ManagedApp& app : daemon.apps()) {
-        const auto& core = rec.sample.cores[static_cast<size_t>(app.cpu)];
+        const auto& core = sample.cores[static_cast<size_t>(app.cpu)];
         std::printf(" %s=%4.0fMHz", app.name.c_str(), core.active_mhz.value());
       }
       std::printf("\n");
@@ -375,38 +406,25 @@ int Run(const Options& opt) {
   // Final report.
   TextTable t;
   t.SetHeader({"app", "cpu", "shares", "prio", "MHz", "Ginstr/s", "norm perf", "temp C"});
-  const auto& rec = daemon.history().empty() ? PowerDaemon::Record{} : daemon.history().back();
+  const TelemetrySample& last = daemon.last_sample();
   for (const ManagedApp& app : daemon.apps()) {
-    const auto& core = rec.sample.cores.empty()
-                           ? CoreTelemetry{}
-                           : rec.sample.cores[static_cast<size_t>(app.cpu)];
+    const auto& core =
+        last.cores.empty() ? CoreTelemetry{} : last.cores[static_cast<size_t>(app.cpu)];
     t.AddRow({app.name, std::to_string(app.cpu), TextTable::Num(app.shares, 0),
               app.high_priority ? "HP" : "LP", TextTable::Num(core.active_mhz.value(), 0),
               TextTable::Num(core.ips.value() / 1e9, 2),
               TextTable::Num(app.baseline_ips > Ips{0} ? core.ips / app.baseline_ips : 0, 2),
               TextTable::Num(core.temp_c, 1)});
   }
-  std::printf("\nfinal second of telemetry (pkg %.1f W):\n", rec.sample.pkg_w.value());
+  std::printf("\nfinal second of telemetry (pkg %.1f W):\n", last.pkg_w.value());
   t.Print(std::cout);
 
-  if (!opt.csv_path.empty()) {
-    std::ofstream csv(opt.csv_path);
+  if (csv.is_open()) {
+    // close() flushes; a full device or I/O error surfaces here.
+    csv.close();
     if (!csv) {
       std::fprintf(stderr, "cannot write %s\n", opt.csv_path.c_str());
       return 1;
-    }
-    csv << "t,pkg_w";
-    for (const ManagedApp& app : daemon.apps()) {
-      csv << "," << app.name << "_mhz," << app.name << "_ips";
-    }
-    csv << "\n";
-    for (const auto& record : daemon.history()) {
-      csv << record.sample.t << "," << record.sample.pkg_w;
-      for (const ManagedApp& app : daemon.apps()) {
-        const auto& core = record.sample.cores[static_cast<size_t>(app.cpu)];
-        csv << "," << core.active_mhz << "," << core.ips;
-      }
-      csv << "\n";
     }
     std::printf("wrote per-period trace: %s\n", opt.csv_path.c_str());
   }
