@@ -27,7 +27,6 @@ struct CoreArray {
       : requested_mhz(static_cast<size_t>(n), initial_mhz),
         online(static_cast<size_t>(n), 1),
         work(static_cast<size_t>(n), nullptr),
-        has_work(static_cast<size_t>(n), 0),
         work_avx(static_cast<size_t>(n), 0),
         effective_mhz(static_cast<size_t>(n), Mhz{0.0}),
         slice(static_cast<size_t>(n)),
@@ -44,12 +43,9 @@ struct CoreArray {
   // Software-visible control state.
   std::vector<Mhz> requested_mhz;
   std::vector<uint8_t> online;  // Online = C0/C1; offline = forced deep C-state.
-  // Work attachment (non-owning); has_work mirrors `work[i] != nullptr` as a
-  // byte flag and work_avx caches work->UsesAvx(), both maintained at attach
-  // time so the census pass is pure byte-vector arithmetic with no virtual
-  // calls or pointer tests.
+  // Work attachment (non-owning); work_avx caches work->UsesAvx() at attach
+  // time, so the census makes no virtual calls.
   std::vector<CoreWork*> work;
-  std::vector<uint8_t> has_work;
   std::vector<uint8_t> work_avx;
 
   // Per-tick results (written by Package::Tick).
@@ -65,6 +61,8 @@ struct CoreArray {
 
   // Memoized voltage-curve lookups: effective frequency rarely changes
   // between ticks, so the piecewise-linear interpolation is cached per core.
+  // For an online lane volts_cache_mhz is also the frequency the lane was
+  // last priced at, which the every-tick power memo compares against.
   std::vector<Mhz> volts_cache_mhz;
   std::vector<Volts> volts_cache_v;
 };

@@ -1,8 +1,8 @@
 #include "src/cpusim/package.h"
 
 #include <algorithm>
-#include <cassert>
 
+#include "src/common/check.h"
 #include "src/common/logging.h"
 
 namespace papd {
@@ -17,17 +17,22 @@ Package::Package(PlatformSpec spec)
       kernels_(&simd::ActiveKernels()) {
   const auto n = static_cast<size_t>(spec_.num_cores);
   multi_member_.assign(n, 0);
-  scratch_avx_.assign(n, 0);
+  avx_lane_.assign(n, 0);
   scratch_pstate_marks_.assign(pstates_.size(), 0);
+  priced_busy_.assign(n, 0.0);
+  priced_activity_.assign(n, 0.0);
   lane_held_.assign(n, 0);
   scratch_unsteady_.reserve(n);
 }
 
 void Package::AttachWork(int core, CoreWork* work) {
+  PAPD_CHECK(core >= 0 && core < num_cores())
+      << "AttachWork: core" << core << "out of range for" << num_cores() << "cores";
   const auto i = static_cast<size_t>(core);
+  PAPD_CHECK(!multi_member_[i]) << "AttachWork: core" << core
+                                << "already belongs to a multi-core work";
   cores_.work[i] = work;
-  cores_.has_work[i] = (work != nullptr) ? 1 : 0;
-  // UsesAvx is contractually invariant while attached; cache it so the tick
+  // UsesAvx is contractually invariant while attached; cache it so the
   // census makes no virtual calls.
   cores_.work_avx[i] = (work != nullptr && work->UsesAvx()) ? 1 : 0;
   control_epoch_++;
@@ -36,7 +41,6 @@ void Package::AttachWork(int core, CoreWork* work) {
 void Package::DetachWork(int core) {
   const auto i = static_cast<size_t>(core);
   cores_.work[i] = nullptr;
-  cores_.has_work[i] = 0;
   cores_.work_avx[i] = 0;
   // The lane idles from the next tick on; zero the slice here once instead
   // of rewriting zeros every tick.
@@ -47,21 +51,27 @@ void Package::DetachWork(int core) {
 }
 
 void Package::AttachMultiWork(MultiCoreWork* work) {
+  const std::vector<int>& members = work->Cores();
+  PAPD_CHECK(!members.empty()) << "AttachMultiWork:" << work->Name() << "reports no cores";
+  const int first = members.front();
+  for (size_t j = 0; j < members.size(); j++) {
+    const int c = members[j];
+    PAPD_CHECK(c >= 0 && c < num_cores()) << "AttachMultiWork:" << work->Name() << "core" << c
+                                          << "out of range for" << num_cores() << "cores";
+    PAPD_CHECK(c == first + static_cast<int>(j))
+        << "AttachMultiWork:" << work->Name() << "cores are not one ascending run: core" << c
+        << "at position" << j;
+    const auto i = static_cast<size_t>(c);
+    PAPD_CHECK(cores_.work[i] == nullptr && !multi_member_[i])
+        << "AttachMultiWork:" << work->Name() << "core" << c << "already has a work attached";
+    multi_member_[i] = 1;
+  }
   MultiWorkEntry entry;
   entry.work = work;
-  entry.cores = &work->Cores();
+  entry.first = static_cast<size_t>(first);
+  entry.count = members.size();
   entry.uses_avx = work->UsesAvx() ? 1 : 0;
-  for (int c : *entry.cores) {
-    assert(c >= 0 && c < num_cores());
-    assert(cores_.work[static_cast<size_t>(c)] == nullptr);
-    multi_member_[static_cast<size_t>(c)] = 1;
-  }
   multi_works_.push_back(entry);
-  const size_t m = entry.cores->size();
-  if (scratch_multi_freqs_.size() < m) {
-    scratch_multi_freqs_.resize(m);
-    scratch_multi_slices_.resize(m);
-  }
   control_epoch_++;
 }
 
@@ -214,25 +224,12 @@ int Package::AdvanceSteady(Seconds dt, int max_ticks) {
       work[i]->RunBatch(dt, &effective_mut[i], &slices_mut[i], 1);
     }
   }
-  const simd::TickKernels& kern = *kernels_;
-  const int busy_cores =
-      kern.power(effective_mut, slices_mut, online, power_model_,
-                 cores_.volts_cache_mhz.data(), cores_.volts_cache_v.data(),
-                 cores_.power_w.data(), n);
-  kern.counters(effective_mut, slices_mut, cores_.power_w.data(), spec_.tsc_mhz, dt,
-                cores_.aperf_cycles.data(), cores_.mperf_cycles.data(),
-                cores_.instructions_retired.data(), cores_.energy_j.data(), n);
-  Watts total{0.0};
-  const Watts* pw = cores_.power_w.data();
-  for (size_t i = 0; i < n; i++) {
-    total += pw[i];
-  }
-  const Watts uncore{power_model_.UncorePowerW(busy_cores)};
-  total += uncore;
-  thermal_.Update(cores_.power_w, uncore, dt);
-  last_package_power_w_ = total;
-  last_uncore_power_w_ = uncore;
-  package_energy_j_ += total * dt;
+  Reprice();
+  kernels_->counters(effective_mut, slices_mut, cores_.power_w.data(), spec_.tsc_mhz, dt,
+                     cores_.aperf_cycles.data(), cores_.mperf_cycles.data(),
+                     cores_.instructions_retired.data(), cores_.energy_j.data(), n);
+  thermal_.Relax(dt);
+  package_energy_j_ += last_package_power_w_ * dt;
   now_ += dt;
   tick_stats_.fast_ticks++;
   RebuildHoldPlan(dt);
@@ -241,22 +238,89 @@ int Package::AdvanceSteady(Seconds dt, int max_ticks) {
 
 // PAPD_HOT
 void Package::RunMultiWorks(Seconds dt) {
-  const uint8_t* online = cores_.online.data();
-  Mhz* effective = cores_.effective_mhz.data();
+  // Members are one run of lanes, so each work reads its effective
+  // frequencies and writes its slices in place.  An offlined member's
+  // frequency is the 0 MHz SetOnline(false) pinned: it contributes no cycles.
+  const Mhz* effective = cores_.effective_mhz.data();
   WorkSlice* slices = cores_.slice.data();
   for (const MultiWorkEntry& w : multi_works_) {
-    const std::vector<int>& members = *w.cores;
-    const size_t m = members.size();
-    for (size_t j = 0; j < m; j++) {
-      // An offlined member core contributes no cycles.
-      const auto c = static_cast<size_t>(members[j]);
-      scratch_multi_freqs_[j] = online[c] ? effective[c] : Mhz{0.0};
+    w.work->RunBatch(dt, effective + w.first, slices + w.first, w.count);
+  }
+}
+
+void Package::RefreshCensus() {
+  // Active (C0) cores for the turbo ladder: online with a single-core work
+  // or multi-work membership.  AVX-active cores for the AVX caps: online
+  // single-core AVX works, plus every member of an AVX multi-core work.
+  const size_t n = cores_.size();
+  int active = 0;
+  int avx_active = 0;
+  for (size_t i = 0; i < n; i++) {
+    const bool has_work = cores_.work[i] != nullptr;
+    avx_lane_[i] = (cores_.online[i] && has_work) ? cores_.work_avx[i] : 0;
+    if (!cores_.online[i] || (!has_work && !multi_member_[i])) {
+      continue;
     }
-    w.work->RunBatch(dt, scratch_multi_freqs_.data(), scratch_multi_slices_.data(), m);
-    for (size_t j = 0; j < m; j++) {
-      slices[static_cast<size_t>(members[j])] = scratch_multi_slices_[j];
+    active++;
+    avx_active += avx_lane_[i];
+  }
+  for (const MultiWorkEntry& w : multi_works_) {
+    if (w.uses_avx) {
+      avx_active += static_cast<int>(w.count);
     }
   }
+  census_active_ = active;
+  census_avx_active_ = avx_active;
+  census_epoch_ = control_epoch_;
+}
+
+// PAPD_HOT
+void Package::Reprice() {
+  const size_t n = cores_.size();
+  const WorkSlice* slices = cores_.slice.data();
+  const int busy_cores =
+      kernels_->power(cores_.effective_mhz.data(), slices, cores_.online.data(), power_model_,
+                      cores_.volts_cache_mhz.data(), cores_.volts_cache_v.data(),
+                      cores_.power_w.data(), n);
+  for (size_t i = 0; i < n; i++) {
+    priced_busy_[i] = slices[i].busy_fraction;
+    priced_activity_[i] = slices[i].activity;
+  }
+  // Package power reduces in scalar index order regardless of kernel width:
+  // reassociating this sum would break the bit-identity contract.
+  Watts total{0.0};
+  const Watts* pw = cores_.power_w.data();
+  for (size_t i = 0; i < n; i++) {
+    total += pw[i];
+  }
+  const Watts uncore{power_model_.UncorePowerW(busy_cores)};
+  total += uncore;
+  last_package_power_w_ = total;
+  last_uncore_power_w_ = uncore;
+  thermal_.SetPower(cores_.power_w, uncore);
+  power_epoch_ = control_epoch_;
+}
+
+// PAPD_HOT
+bool Package::PowerInputsMoved() const {
+  if (power_epoch_ != control_epoch_) {
+    return true;
+  }
+  const size_t n = cores_.size();
+  const uint8_t* online = cores_.online.data();
+  const Mhz* effective = cores_.effective_mhz.data();
+  const Mhz* priced_mhz = cores_.volts_cache_mhz.data();
+  const WorkSlice* slices = cores_.slice.data();
+  for (size_t i = 0; i < n; i++) {
+    // Offline lanes are never priced: their power is the constant written
+    // when they went offline.
+    if (online[i] && (effective[i] != priced_mhz[i] ||
+                      slices[i].busy_fraction != priced_busy_[i] ||
+                      slices[i].activity != priced_activity_[i])) {
+      return true;
+    }
+  }
+  return false;
 }
 
 // PAPD_HOT
@@ -268,31 +332,31 @@ void Package::TickFull(Seconds dt) {
   WorkSlice* slices = cores_.slice.data();
   const simd::TickKernels& k = *kernels_;
 
-  // 1. Census: cores counted "active" (C0) for the turbo ladder, and cores
-  // running AVX-heavy code for the AVX caps.  Flags were cached at attach
-  // time, so this pass is byte-vector arithmetic over flat arrays.
-  int active = 0;
-  int avx_active = 0;
-  k.census(online, cores_.has_work.data(), cores_.work_avx.data(),
-           multi_member_.data(), scratch_avx_.data(), n, &active, &avx_active);
-  for (const MultiWorkEntry& w : multi_works_) {
-    if (w.uses_avx) {
-      avx_active += static_cast<int>(w.cores->size());
-    }
+  // 1. Census: its inputs (online, attach and multi-work flags) change only
+  // through setters that bump the control epoch.
+  if (census_epoch_ != control_epoch_) {
+    RefreshCensus();
   }
 
   // 2. Effective frequencies, written straight into the results array.
   // Offline lanes were pinned to zero when they went offline and are
-  // skipped here.
-  simd::ClampParams cp;
-  cp.turbo_limit = spec_.TurboLimitMhz(active);
-  cp.avx_cap = spec_.AvxCapMhz(avx_active);
-  cp.rapl_ceiling = rapl_.ceiling_mhz();
-  cp.min_mhz = spec_.min_mhz;
-  cp.tj_max_c = spec_.thermal.tj_max_c;
-  cp.rapl_on = rapl_.enabled();
-  k.clamp(cores_.requested_mhz.data(), online, scratch_avx_.data(),
-          thermal_.temps_c().data(), cp, effective, n);
+  // skipped here.  With the epoch unchanged and RAPL off, the clamp's only
+  // moving input is PROCHOT: it is skipped while no lane was at or above
+  // the junction limit at the last clamp and none is now.
+  const bool hot = thermal_.max_temp_c() >= spec_.thermal.tj_max_c;
+  if (clamp_epoch_ != control_epoch_ || rapl_.enabled() || clamp_hot_ || hot) {
+    simd::ClampParams cp;
+    cp.turbo_limit = spec_.TurboLimitMhz(census_active_);
+    cp.avx_cap = spec_.AvxCapMhz(census_avx_active_);
+    cp.rapl_ceiling = rapl_.ceiling_mhz();
+    cp.min_mhz = spec_.min_mhz;
+    cp.tj_max_c = spec_.thermal.tj_max_c;
+    cp.rapl_on = rapl_.enabled();
+    k.clamp(cores_.requested_mhz.data(), online, avx_lane_.data(),
+            thermal_.temps_c().data(), cp, effective, n);
+    clamp_epoch_ = control_epoch_;
+    clamp_hot_ = hot;
+  }
 
   // 3. Run workloads; slices land in place via the span API (no per-tick
   // vector allocation and no result copies).  Idle and offline lanes keep
@@ -304,33 +368,24 @@ void Package::TickFull(Seconds dt) {
   }
   RunMultiWorks(dt);
 
-  // 4. Voltage memo + per-core power for online lanes, then hardware
-  // counters for all lanes — both as dispatched kernels.
-  const int busy_cores =
-      k.power(effective, slices, online, power_model_,
-              cores_.volts_cache_mhz.data(), cores_.volts_cache_v.data(),
-              cores_.power_w.data(), n);
+  // 4. Voltage memo + per-core power for online lanes, re-priced only when
+  // an input moved; otherwise the per-core power, the package total, the
+  // uncore share and the thermal targets of the last price still hold.
+  // Hardware counters advance for all lanes every tick.
+  if (PowerInputsMoved()) {
+    Reprice();
+    tick_stats_.repriced_ticks++;
+  }
   k.counters(effective, slices, cores_.power_w.data(), spec_.tsc_mhz, dt,
              cores_.aperf_cycles.data(), cores_.mperf_cycles.data(),
              cores_.instructions_retired.data(), cores_.energy_j.data(), n);
-  // Package power reduces in scalar index order regardless of kernel width:
-  // reassociating this sum would break the bit-identity contract.
-  Watts total{0.0};
-  const Watts* pw = cores_.power_w.data();
-  for (size_t i = 0; i < n; i++) {
-    total += pw[i];
-  }
-  const Watts uncore{power_model_.UncorePowerW(busy_cores)};
-  total += uncore;
 
   // 5. RAPL and the thermal model observe this tick's power.
-  rapl_.Update(total, dt);
-  thermal_.Update(cores_.power_w, uncore, dt);
+  rapl_.Update(last_package_power_w_, dt);
+  thermal_.Relax(dt);
 
   // 6. Bookkeeping.
-  last_package_power_w_ = total;
-  last_uncore_power_w_ = uncore;
-  package_energy_j_ += total * dt;
+  package_energy_j_ += last_package_power_w_ * dt;
   now_ += dt;
   tick_stats_.full_ticks++;
 }
@@ -401,6 +456,7 @@ void Package::TickFast(Seconds dt) {
   last_uncore_power_w_ = uncore;
   package_energy_j_ += total * dt;
   now_ += dt;
+  power_epoch_ = kStaleEpoch;  // Re-priced outside the full tick's memo.
   hold_remaining_--;
   held_pending_ticks_++;
   tick_stats_.fast_ticks++;

@@ -18,7 +18,15 @@
 // bit-exact scalar reference.
 //
 // Tick policies:
-//   kEveryTick   every pass runs every tick (the bit-pinned reference mode);
+//   kEveryTick   the bit-pinned reference mode.  Works, counters, RAPL,
+//                thermal relaxation, energy and time advance every tick; the
+//                census, clamp and power passes are memoized and recompute
+//                only when one of their inputs moved since they last ran
+//                (census: the control epoch; clamp: the epoch, RAPL armed,
+//                PROCHOT at the last clamp or now; power: the epoch, or a
+//                lane's effective frequency, busy fraction or activity).  A
+//                skipped pass would have rewritten exactly the bits it left
+//                in place, so the memo never changes a simulated output;
 //   kMultiRate   cores whose workload reports a steady phase (and whose
 //                control plane is quiescent) are *held*: their slice, power
 //                and effective frequency are replayed for up to K ticks
@@ -67,9 +75,14 @@ class Package {
   Core core(int i) const { return Core(&cores_, i); }
 
   // --- Work attachment (non-owning) ----------------------------------------
+  // The core must be in range and not belong to a multi-core work
+  // (PAPD_CHECKed in every build).
   void AttachWork(int core, CoreWork* work);
   void DetachWork(int core);
-  // Attaches a coupled multi-core work to the cores it reports.
+  // Attaches a coupled multi-core work to the cores it reports.  Those must
+  // be one ascending run of in-range cores (first, first + 1, ...) with no
+  // work attached yet, so the tick hands the work its lanes as spans of the
+  // per-core arrays (PAPD_CHECKed in every build).
   void AttachMultiWork(MultiCoreWork* work);
 
   // --- Software controls ----------------------------------------------------
@@ -122,6 +135,7 @@ class Package {
     uint64_t plan_rebuilds = 0;
     uint64_t hold_segments = 0;   // AdvanceSteady segments taken.
     uint64_t batched_ticks = 0;   // Ticks advanced in closed form (excl. refresh).
+    uint64_t repriced_ticks = 0;  // Full ticks that re-ran the power pass.
   };
 
   void SetTickPolicy(TickPolicy policy, int max_hold_ticks = kDefaultMaxHoldTicks);
@@ -132,7 +146,8 @@ class Package {
 
   // Control-plane epoch: bumped by every externally visible control action
   // (P-state write, RAPL change, online toggle, attach/detach).  The
-  // multi-rate planner re-syncs and replans whenever it changes.
+  // multi-rate planner re-syncs and replans whenever it changes, and the
+  // every-tick memos recompute.
   uint64_t control_epoch() const { return control_epoch_; }
   // Control-plane events with no dedicated setter (e.g. MsrFile arming a
   // fault plan or dropping a P-state write) report themselves here.
@@ -154,23 +169,40 @@ class Package {
 
  private:
   // One attached MultiCoreWork with its per-attachment caches: the member
-  // core list and the AVX flag are virtual calls answered once at attach.
+  // lanes [first, first + count) and the AVX flag are virtual calls answered
+  // once at attach.
   struct MultiWorkEntry {
     MultiCoreWork* work = nullptr;
-    const std::vector<int>* cores = nullptr;
+    size_t first = 0;
+    size_t count = 0;
     uint8_t uses_avx = 0;
   };
 
-  // Full tick: every pass over every lane (the bit-pinned reference path).
+  // Memo key that matches no control epoch: the pass runs on its next tick.
+  static constexpr uint64_t kStaleEpoch = ~uint64_t{0};
+
+  // Full tick: the bit-pinned reference path.  Every lane's work and
+  // counters advance; the census, clamp and power passes run when their
+  // inputs moved (see the kEveryTick note at the top of this file).
   void TickFull(Seconds dt);
+  // Recounts active and AVX-active cores and rewrites avx_lane_.
+  void RefreshCensus();
+  // True when the power pass must re-price: the epoch moved since the last
+  // price, or an online lane's frequency, busy fraction or activity differs
+  // from what it was priced at.
+  bool PowerInputsMoved() const;
+  // The power pass: prices every online lane (voltage memo + power kernel),
+  // records the priced inputs, and sets the package total, the uncore share
+  // and the thermal targets.
+  void Reprice();
   // Multi-rate fast tick: runs only unsteady lanes' work and power; held
   // lanes replay their plan-time slice.  Counters advance exactly.
   void TickFast(Seconds dt);
   // Classifies lanes held/unsteady after a full tick and sets the window.
   void RebuildHoldPlan(Seconds dt);
   bool CanFastTick(Seconds dt) const;
-  // Shared work pass (single-core works + multi-core gather/scatter) of the
-  // full tick; TickFast runs the same multi-work loop.
+  // Multi-core work pass shared by the full and fast ticks: each work reads
+  // and writes its lanes' spans in place.
   void RunMultiWorks(Seconds dt);
 
   PlatformSpec spec_;
@@ -184,12 +216,6 @@ class Package {
   // maintained by AttachMultiWork so Tick never scans the work list.
   std::vector<uint8_t> multi_member_;
 
-  // Per-tick scratch reused every tick — the tick loop must not allocate.
-  std::vector<uint8_t> scratch_avx_;  // This tick: online single work using AVX.
-  // Gather/scatter staging for multi-core works (sized to the largest
-  // attached work's core count at attach time).
-  std::vector<Mhz> scratch_multi_freqs_;
-  std::vector<WorkSlice> scratch_multi_slices_;
   // DistinctRequestedFrequencies marks P-state grid slots here; cleared
   // after each call (mutable: the query is logically const).
   mutable std::vector<uint8_t> scratch_pstate_marks_;
@@ -200,6 +226,20 @@ class Package {
   TickPolicy tick_policy_ = TickPolicy::kEveryTick;
   int max_hold_ticks_ = kDefaultMaxHoldTicks;
   uint64_t control_epoch_ = 0;
+
+  // Every-tick memos: each pass records the epoch it last ran at.
+  uint64_t census_epoch_ = kStaleEpoch;
+  int census_active_ = 0;
+  int census_avx_active_ = 0;
+  std::vector<uint8_t> avx_lane_;  // 1 iff online with an AVX single-core work.
+  uint64_t clamp_epoch_ = kStaleEpoch;
+  bool clamp_hot_ = false;  // Some lane was at/above tj_max_c at the last clamp.
+  // TickFast prices only its unsteady lanes and resets this.
+  uint64_t power_epoch_ = kStaleEpoch;
+  // Busy fraction and activity each lane was last priced at (its frequency
+  // is volts_cache_mhz).
+  std::vector<double> priced_busy_;
+  std::vector<double> priced_activity_;
 
   // Multi-rate hold plan, rebuilt after full ticks taken with RAPL off.
   // Valid while the control epoch and tick length are unchanged and

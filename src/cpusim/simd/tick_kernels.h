@@ -1,9 +1,12 @@
 // SIMD kernels for the Package::Tick hot passes.
 //
-// Each per-core pass of the tick engine — the C0/AVX census, the effective-
-// frequency clamp (turbo ladder / AVX cap / RAPL ceiling / PROCHOT), the
-// voltage-memo + dynamic-power evaluation, and the hardware-counter
-// accumulation — is a kernel operating on the flat CoreArray vectors.  Two
+// The per-core passes of the tick engine — the effective-frequency clamp
+// (turbo ladder / AVX cap / RAPL ceiling / PROCHOT), the voltage-memo +
+// dynamic-power evaluation, and the hardware-counter accumulation — are
+// kernels operating on the flat CoreArray vectors.  (The C0/AVX census runs
+// only when the control plane changes, so it is one scalar loop in
+// Package.)  Every-tick Package recomputes the clamp and power passes only
+// when their inputs moved; the counters run every tick.  Two
 // implementations exist behind one function-pointer table:
 //
 //   kScalarKernels        the bit-exact reference: literal ports of the
@@ -48,16 +51,6 @@ struct ClampParams {
   bool rapl_on = false;
 };
 
-// Census over the per-core byte flags: writes scratch_avx[i] = 1 iff lane i
-// is online with an attached AVX-classed single-core work, and counts active
-// (online with any work or multi-work membership) and AVX-active lanes.
-// Multi-core works are accounted by the caller (their AVX class is cached
-// per attachment, not per lane).
-using CensusFn = void (*)(const uint8_t* online, const uint8_t* has_work,
-                          const uint8_t* work_avx, const uint8_t* multi_member,
-                          uint8_t* scratch_avx, size_t n, int* active,
-                          int* avx_active);
-
 // Effective-frequency clamp: for every online lane,
 //   f = max(min(requested, turbo, [rapl], [avx]), floor), PROCHOT -> floor.
 // Offline lanes are skipped — their effective_mhz was pinned to zero when
@@ -88,7 +81,6 @@ using CountersFn = void (*)(const Mhz* effective_mhz, const WorkSlice* slices,
 
 struct TickKernels {
   const char* name;  // "scalar" or "avx2".
-  CensusFn census;
   ClampFn clamp;
   PowerFn power;
   CountersFn counters;

@@ -1,5 +1,5 @@
-// AVX2 tick kernels: 4 double lanes (32 byte-flag lanes for the census) per
-// iteration over the flat CoreArray vectors, with scalar-kernel tails.
+// AVX2 tick kernels: 4 double lanes per iteration over the flat CoreArray
+// vectors, with scalar-kernel tails.
 //
 // Bit-identity with tick_kernels_scalar.cc is a hard contract (the FNV-1a
 // goldens in tests/soa_equivalence_test.cc run under both tables):
@@ -12,13 +12,13 @@
 //     so no mul+add pair is contracted into a differently rounded fused op;
 //   - cross-lane reductions that would reassociate floating point are not
 //     performed here (Package sums the power vector in scalar index order);
-//     the census reduction is integral and therefore order-free.
+//     the busy-core count is integral and therefore order-free.
 //
-// The byte flags (online, has_work, work_avx, multi_member, scratch_avx)
-// are strictly 0/1, which MaskFromBytes exploits (0/1 -> 0/-1 via integer
-// negate).  The Quantity<Tag> vectors are loaded through double* — the
-// strong types are single-double standard-layout wrappers (static_asserted
-// below), and both sides of every access read/write the underlying double.
+// The byte flags (online, the per-lane AVX flag) are strictly 0/1, which
+// MaskFromBytes exploits (0/1 -> 0/-1 via integer negate).  The Quantity<Tag>
+// vectors are loaded through double* — the strong types are single-double
+// standard-layout wrappers (static_asserted below), and both sides of every
+// access read/write the underlying double.
 
 #if defined(PAPD_SIMD_AVX2)
 
@@ -70,47 +70,6 @@ inline __m256d GatherActivity(const WorkSlice* s) {
 inline __m256d GatherInstructions(const WorkSlice* s) {
   return _mm256_setr_pd(s[0].instructions, s[1].instructions, s[2].instructions,
                         s[3].instructions);
-}
-
-// PAPD_HOT
-void CensusAvx2(const uint8_t* online, const uint8_t* has_work,
-                const uint8_t* work_avx, const uint8_t* multi_member,
-                uint8_t* scratch_avx, size_t n, int* active, int* avx_active) {
-  const __m256i zero = _mm256_setzero_si256();
-  __m256i act_acc = zero;
-  __m256i avx_acc = zero;
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i on = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(online + i));
-    const __m256i hw = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(has_work + i));
-    const __m256i mm = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(multi_member + i));
-    const __m256i wa = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(work_avx + i));
-    // scratch = work_avx where (online && has_work), else 0.
-    const __m256i not_on_hw = _mm256_cmpeq_epi8(_mm256_and_si256(on, hw), zero);
-    const __m256i scratch = _mm256_andnot_si256(not_on_hw, wa);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(scratch_avx + i), scratch);
-    // active = online && (has_work || multi_member); bytes stay 0/1 so the
-    // unsigned byte-sum (vpsadbw) cannot saturate.
-    const __m256i act = _mm256_and_si256(on, _mm256_or_si256(hw, mm));
-    act_acc = _mm256_add_epi64(act_acc, _mm256_sad_epu8(act, zero));
-    avx_acc = _mm256_add_epi64(avx_acc, _mm256_sad_epu8(scratch, zero));
-  }
-  alignas(32) long long lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), act_acc);
-  int act = static_cast<int>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), avx_acc);
-  int avx = static_cast<int>(lanes[0] + lanes[1] + lanes[2] + lanes[3]);
-  if (i < n) {
-    int tail_act = 0;
-    int tail_avx = 0;
-    kScalarKernels.census(online + i, has_work + i, work_avx + i,
-                          multi_member + i, scratch_avx + i, n - i, &tail_act,
-                          &tail_avx);
-    act += tail_act;
-    avx += tail_avx;
-  }
-  *active = act;
-  *avx_active = avx;
 }
 
 // PAPD_HOT
@@ -255,8 +214,7 @@ void CountersAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
 
 }  // namespace
 
-const TickKernels kAvx2Kernels = {"avx2", &CensusAvx2, &ClampAvx2, &PowerAvx2,
-                                  &CountersAvx2};
+const TickKernels kAvx2Kernels = {"avx2", &ClampAvx2, &PowerAvx2, &CountersAvx2};
 
 }  // namespace simd
 }  // namespace papd

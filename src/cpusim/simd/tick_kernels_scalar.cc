@@ -12,24 +12,6 @@ namespace simd {
 namespace {
 
 // PAPD_HOT
-void CensusScalar(const uint8_t* online, const uint8_t* has_work,
-                  const uint8_t* work_avx, const uint8_t* multi_member,
-                  uint8_t* scratch_avx, size_t n, int* active, int* avx_active) {
-  int act = 0;
-  int avx = 0;
-  for (size_t i = 0; i < n; i++) {
-    scratch_avx[i] = (online[i] && has_work[i]) ? work_avx[i] : 0;
-    if (!online[i] || (!has_work[i] && !multi_member[i])) {
-      continue;
-    }
-    act++;
-    avx += scratch_avx[i];
-  }
-  *active = act;
-  *avx_active = avx;
-}
-
-// PAPD_HOT
 void ClampScalar(const Mhz* requested_mhz, const uint8_t* online,
                  const uint8_t* avx_lane, const double* temps_c,
                  const ClampParams& p, Mhz* effective_mhz, size_t n) {
@@ -97,8 +79,8 @@ void CountersScalar(const Mhz* effective_mhz, const WorkSlice* slices,
 
 }  // namespace
 
-const TickKernels kScalarKernels = {"scalar", &CensusScalar, &ClampScalar,
-                                    &PowerScalar, &CountersScalar};
+const TickKernels kScalarKernels = {"scalar", &ClampScalar, &PowerScalar,
+                                    &CountersScalar};
 
 }  // namespace simd
 }  // namespace papd

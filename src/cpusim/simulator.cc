@@ -6,6 +6,8 @@ namespace papd {
 
 void Simulator::AddPeriodic(Seconds period_s, std::function<void(Seconds)> fn,
                             Seconds first_at_s) {
+  PAPD_CHECK(period_s > Seconds{0.0}) << "periodic callback period must be positive, got"
+                                      << period_s;
   Periodic p;
   p.period_s = period_s;
   p.next_due_s = first_at_s >= Seconds{0.0} ? first_at_s : package_->now() + period_s;

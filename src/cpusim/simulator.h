@@ -17,6 +17,7 @@
 #include <limits>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/units.h"
 #include "src/cpusim/package.h"
 
@@ -24,9 +25,12 @@ namespace papd {
 
 class Simulator {
  public:
-  // The simulator borrows the package; the caller keeps ownership.
+  // The simulator borrows the package; the caller keeps ownership.  The tick
+  // must be positive (PAPD_CHECKed): a non-positive tick never advances time.
   explicit Simulator(Package* package, Seconds tick_s = Seconds{0.001})
-      : package_(package), tick_s_(tick_s) {}
+      : package_(package), tick_s_(tick_s) {
+    PAPD_CHECK(tick_s_ > Seconds{0.0}) << "Simulator tick must be positive, got" << tick_s_;
+  }
 
   Package& package() { return *package_; }
   Seconds now() const { return package_->now(); }
@@ -34,7 +38,9 @@ class Simulator {
 
   // Registers a callback fired every `period_s`, first at `first_at_s`
   // (defaults to one period in).  Callbacks run after the tick that crosses
-  // their due time, in registration order.
+  // their due time, in registration order.  The period must be positive
+  // (PAPD_CHECKed): a non-positive one would never move past the current
+  // time, and the tick that crossed it would fire the callback forever.
   void AddPeriodic(Seconds period_s, std::function<void(Seconds now)> fn,
                    Seconds first_at_s = Seconds{-1.0});
 

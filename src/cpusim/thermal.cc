@@ -6,54 +6,60 @@
 namespace papd {
 
 ThermalModel::ThermalModel(ThermalParams params, int num_cores)
-    : params_(params), temps_(static_cast<size_t>(num_cores), params.ambient_c) {}
+    : params_(params),
+      temps_(static_cast<size_t>(num_cores), params.ambient_c),
+      targets_(static_cast<size_t>(num_cores), params.ambient_c),
+      max_temp_c_(params.ambient_c) {}
 
-void ThermalModel::Update(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt) {
-  Watts total{uncore_w};
-  for (Watts w : core_w) {
-    total += w;
-  }
+double ThermalModel::Alpha(Seconds dt) {
   // dt is the fixed simulator tick in practice; memoize the exp().
   if (dt != alpha_dt_) {
     alpha_dt_ = dt;
     alpha_ = 1.0 - std::exp(-dt / params_.tau_s);
   }
-  const double alpha = alpha_;
-  for (size_t i = 0; i < temps_.size(); i++) {
-    const Watts own{i < core_w.size() ? core_w[i] : Watts{0.0}};
-    const Watts effective{own + params_.spread_fraction * (total - own)};
-    const Celsius steady = params_.ambient_c + params_.r_core_c_per_w * effective.value();
-    temps_[i] += alpha * (steady - temps_[i]);
-  }
+  return alpha_;
 }
 
-void ThermalModel::UpdateSteady(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt,
-                                int ticks) {
+void ThermalModel::SetPower(const std::vector<Watts>& core_w, Watts uncore_w) {
+  // Total from uncore, then cores in index order (the pinned association).
   Watts total{uncore_w};
   for (Watts w : core_w) {
     total += w;
   }
-  if (dt != alpha_dt_) {
-    alpha_dt_ = dt;
-    alpha_ = 1.0 - std::exp(-dt / params_.tau_s);
-  }
-  // k ticks of T += alpha * (steady - T) with constant power compound to
-  // T = steady + (T - steady) * (1 - alpha)^k.
-  const double decay = std::pow(1.0 - alpha_, static_cast<double>(ticks));
-  for (size_t i = 0; i < temps_.size(); i++) {
+  for (size_t i = 0; i < targets_.size(); i++) {
     const Watts own{i < core_w.size() ? core_w[i] : Watts{0.0}};
     const Watts effective{own + params_.spread_fraction * (total - own)};
-    const Celsius steady = params_.ambient_c + params_.r_core_c_per_w * effective.value();
-    temps_[i] = steady + (temps_[i] - steady) * decay;
+    targets_[i] = params_.ambient_c + params_.r_core_c_per_w * effective.value();
   }
 }
 
-Celsius ThermalModel::max_temp_c() const {
+void ThermalModel::Relax(Seconds dt) {
+  const double alpha = Alpha(dt);
   Celsius max = params_.ambient_c;
-  for (Celsius t : temps_) {
-    max = std::max(max, t);
+  for (size_t i = 0; i < temps_.size(); i++) {
+    temps_[i] += alpha * (targets_[i] - temps_[i]);
+    max = std::max(max, temps_[i]);
   }
-  return max;
+  max_temp_c_ = max;
+}
+
+void ThermalModel::Update(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt) {
+  SetPower(core_w, uncore_w);
+  Relax(dt);
+}
+
+void ThermalModel::UpdateSteady(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt,
+                                int ticks) {
+  SetPower(core_w, uncore_w);
+  // k ticks of T += alpha * (target - T) with constant power compound to
+  // T = target + (T - target) * (1 - alpha)^k.
+  const double decay = std::pow(1.0 - Alpha(dt), static_cast<double>(ticks));
+  Celsius max = params_.ambient_c;
+  for (size_t i = 0; i < temps_.size(); i++) {
+    temps_[i] = targets_[i] + (temps_[i] - targets_[i]) * decay;
+    max = std::max(max, temps_[i]);
+  }
+  max_temp_c_ = max;
 }
 
 }  // namespace papd

@@ -38,7 +38,14 @@ class ThermalModel {
  public:
   ThermalModel(ThermalParams params, int num_cores);
 
-  // Advances the model one tick given per-core power and uncore power.
+  // Derives each core's steady-state temperature from per-core and uncore
+  // power.  The targets hold until the next call, so a caller whose power
+  // did not change since the last call may skip it and keep relaxing.
+  void SetPower(const std::vector<Watts>& core_w, Watts uncore_w);
+  // Advances one tick of length dt toward the current targets:
+  // T += alpha * (target - T) per core.
+  void Relax(Seconds dt);
+  // One tick under the given power: SetPower, then Relax.
   void Update(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt);
 
   // Advances `ticks` ticks of length `dt` under *constant* power in closed
@@ -53,16 +60,22 @@ class ThermalModel {
   // Flat per-core temperature vector; the tick engine's SIMD clamp kernel
   // streams it for the PROCHOT comparison.
   const std::vector<Celsius>& temps_c() const { return temps_; }
-  Celsius max_temp_c() const;
+  // Hottest core (never below ambient), tracked as temperatures advance.
+  Celsius max_temp_c() const { return max_temp_c_; }
   const ThermalParams& params() const { return params_; }
 
   // True if any core is at/above the junction limit.
   bool OverLimit() const { return max_temp_c() >= params_.tj_max_c; }
 
  private:
+  // RC coefficient for tick length dt, memoized for the (fixed) tick.
+  double Alpha(Seconds dt);
+
   ThermalParams params_;
   std::vector<Celsius> temps_;
-  // Memoized RC coefficient for the (fixed) tick length.
+  // Per-core steady-state temperature under the power of the last SetPower.
+  std::vector<Celsius> targets_;
+  Celsius max_temp_c_;
   Seconds alpha_dt_{-1.0};
   double alpha_ = 0.0;
 };

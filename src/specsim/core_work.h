@@ -9,7 +9,8 @@
 // A MultiCoreWork spans several cores whose behaviour is coupled (the
 // websearch queueing model: a request queued on one core affects latency
 // seen by all); the simulator advances it once per tick with the effective
-// frequencies of all its cores.
+// frequencies of all its cores, passed as spans of the package's per-core
+// arrays.
 //
 // Both interfaces offer two entry points: the legacy per-call `Run` and the
 // span-based `RunBatch` used by the package tick engine.  Each has a default
@@ -90,9 +91,12 @@ class MultiCoreWork {
   virtual ~MultiCoreWork() = default;
 
   // Core ids (package-local) this work occupies; fixed for its lifetime.
+  // One ascending run of cores (first, first + 1, ...): the package hands
+  // RunBatch its lanes in place and rejects any other shape at attach.
   virtual const std::vector<int>& Cores() const = 0;
 
-  // Advances by dt with freqs_mhz[i] the effective frequency of Cores()[i].
+  // Advances by dt with freqs_mhz[i] the effective frequency of Cores()[i]
+  // (0 MHz for an offline core).
   // Returns one slice per core, in Cores() order.  Default implementation
   // forwards to RunBatch (allocating the return vector; the tick engine
   // never takes this path for works that override RunBatch).

@@ -38,6 +38,20 @@ WebSearch::WebSearch(std::vector<int> cores, Params params, uint64_t seed)
   }
 }
 
+void WebSearch::RequestRing::push_back(const Request& req) {
+  if (size_ == buf_.size()) {
+    // Full: double the capacity and unroll the ring to start at slot 0.
+    std::vector<Request> grown(std::max<size_t>(8, 2 * buf_.size()));
+    for (size_t k = 0; k < size_; k++) {
+      grown[k] = buf_[(head_ + k) & (buf_.size() - 1)];
+    }
+    buf_ = std::move(grown);
+    head_ = 0;
+  }
+  buf_[(head_ + size_) & (buf_.size() - 1)] = req;
+  size_++;
+}
+
 void WebSearch::Dispatch(Seconds t) {
   // Join-shortest-backlog (cycles, not queue length, so one long request
   // does not attract more work).

@@ -21,7 +21,6 @@
 #ifndef SRC_SPECSIM_WEBSEARCH_H_
 #define SRC_SPECSIM_WEBSEARCH_H_
 
-#include <deque>
 #include <queue>
 #include <string>
 #include <vector>
@@ -130,6 +129,25 @@ class WebSearch : public MultiCoreWork {
     double remaining_cycles;
   };
 
+  // One worker core's FCFS queue: a ring whose capacity is 0 or a power of
+  // two and doubles when full.  Unlike a std::deque, an empty ring owns no
+  // memory, and a warmed-up ring stops allocating.
+  class RequestRing {
+   public:
+    bool empty() const { return size_ == 0; }
+    Request& front() { return buf_[head_]; }
+    void push_back(const Request& req);
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      size_--;
+    }
+
+   private:
+    std::vector<Request> buf_;
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   // Dispatches a request submitted at `t` to the least-backlogged core.
   void Dispatch(Seconds t);
 
@@ -143,8 +161,8 @@ class WebSearch : public MultiCoreWork {
 
   // Min-heap of times at which thinking users submit their next request.
   std::priority_queue<Seconds, std::vector<Seconds>, std::greater<>> think_expiry_;
-  std::vector<std::deque<Request>> queues_;  // Per core, FCFS.
-  std::vector<double> backlog_cycles_;       // Per core.
+  std::vector<RequestRing> queues_;     // Per core, FCFS.
+  std::vector<double> backlog_cycles_;  // Per core.
 
   // Next exogenous arrival time (open loop only).
   Seconds next_arrival_{0.0};

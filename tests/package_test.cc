@@ -316,5 +316,73 @@ TEST(Package, MultiWorkMembersCountForTurboCensus) {
   EXPECT_DOUBLE_EQ(pkg.core(9).effective_mhz().value(), spec.TurboLimitMhz(10).value());
 }
 
+// A multi-core work on an arbitrary core list, for the membership checks.
+class ListedWork : public MultiCoreWork {
+ public:
+  explicit ListedWork(std::vector<int> cores) : cores_(std::move(cores)) {}
+  const std::vector<int>& Cores() const override { return cores_; }
+  void RunBatch(Seconds, const Mhz*, WorkSlice* out, size_t n) override {
+    for (size_t j = 0; j < n; j++) {
+      out[j] = WorkSlice{.instructions = 1, .busy_fraction = 1.0, .activity = 1.0};
+    }
+  }
+  bool UsesAvx() const override { return false; }
+  std::string Name() const override { return "listed"; }
+
+ private:
+  std::vector<int> cores_;
+};
+
+// Work membership is checked in every build (not assert): a bad member
+// would write past the per-core arrays or run a lane twice per tick.
+TEST(PackageDeathTest, MultiWorkMemberOutOfRange) {
+  Package pkg(SkylakeXeon4114());
+  ListedWork work({8, 9, 10});
+  EXPECT_DEATH(pkg.AttachMultiWork(&work), "core 10 out of range");
+}
+
+TEST(PackageDeathTest, MultiWorkMembersDescending) {
+  Package pkg(SkylakeXeon4114());
+  ListedWork work({3, 2});
+  EXPECT_DEATH(pkg.AttachMultiWork(&work), "not one ascending run");
+}
+
+TEST(PackageDeathTest, MultiWorkMembersWithGap) {
+  Package pkg(SkylakeXeon4114());
+  ListedWork work({0, 1, 3});
+  EXPECT_DEATH(pkg.AttachMultiWork(&work), "not one ascending run");
+}
+
+TEST(PackageDeathTest, MultiWorkMemberCarriesSingleCoreWork) {
+  Package pkg(SkylakeXeon4114());
+  auto proc = MakeProcess("gcc");
+  pkg.AttachWork(2, proc.get());
+  ListedWork work({0, 1, 2});
+  EXPECT_DEATH(pkg.AttachMultiWork(&work), "core 2 already has a work attached");
+}
+
+TEST(PackageDeathTest, MultiWorkMemberInAnotherMultiWork) {
+  Package pkg(SkylakeXeon4114());
+  ListedWork first({0, 1, 2, 3});
+  pkg.AttachMultiWork(&first);
+  ListedWork second({3, 4});
+  EXPECT_DEATH(pkg.AttachMultiWork(&second), "core 3 already has a work attached");
+}
+
+TEST(PackageDeathTest, SingleCoreWorkOutOfRange) {
+  Package pkg(SkylakeXeon4114());
+  auto proc = MakeProcess("gcc");
+  EXPECT_DEATH(pkg.AttachWork(10, proc.get()), "core 10 out of range");
+  EXPECT_DEATH(pkg.AttachWork(-1, proc.get()), "core -1 out of range");
+}
+
+TEST(PackageDeathTest, SingleCoreWorkOnMultiWorkMember) {
+  Package pkg(SkylakeXeon4114());
+  ListedWork multi({0, 1, 2});
+  pkg.AttachMultiWork(&multi);
+  auto proc = MakeProcess("gcc");
+  EXPECT_DEATH(pkg.AttachWork(1, proc.get()), "core 1 already belongs to a multi-core work");
+}
+
 }  // namespace
 }  // namespace papd

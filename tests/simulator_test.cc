@@ -93,5 +93,15 @@ TEST(Simulator, LongTickCrossesMultipleDueTimes) {
   EXPECT_EQ(count, 4);  // Fires once per crossed due time.
 }
 
+// A non-positive tick or period would never advance past a due time, so the
+// simulator refuses both instead of spinning.
+TEST(SimulatorDeathTest, RejectsNonPositiveTickAndPeriod) {
+  Package pkg(SkylakeXeon4114());
+  EXPECT_DEATH({ Simulator bad(&pkg, Seconds{0.0}); }, "tick must be positive");
+  Simulator sim(&pkg);
+  EXPECT_DEATH(sim.AddPeriodic(Seconds{0.0}, [](Seconds) {}), "period must be positive");
+  EXPECT_DEATH(sim.AddPeriodic(Seconds{-1.0}, [](Seconds) {}), "period must be positive");
+}
+
 }  // namespace
 }  // namespace papd

@@ -9,7 +9,10 @@
 // FNV-1a checksum.  The expected constants below were recorded from the
 // pre-refactor engine (commit bf2f0fe) by running this binary with
 // PAPD_PRINT_GOLDEN=1; any arithmetic re-ordering in the tick path shows up
-// as a checksum mismatch on the very first divergent tick.
+// as a checksum mismatch on the very first divergent tick.  A fourth
+// scenario walks every input that invalidates an every-tick memo (PROCHOT,
+// RAPL, online toggles, detach/attach, multi-rate and back); its constants
+// were recorded from the engine before the memos existed.
 //
 // The suite also asserts the refactor's other contracts: steady-state
 // Package::Tick performs zero heap allocations (single-core and multi-core
@@ -102,6 +105,8 @@ constexpr uint64_t kSharesHash = 0xD78F609678BD130Eull;
 constexpr uint64_t kSharesEnergyBits = 0x4071819B4A23399Bull;
 constexpr uint64_t kWebsearchHash = 0x8A71C852B46ACC44ull;
 constexpr uint64_t kWebsearchEnergyBits = 0x40767EFEC99EB284ull;
+constexpr uint64_t kInvalidationHash = 0xFFCFAF31E73A7E72ull;
+constexpr uint64_t kInvalidationEnergyBits = 0x408AAA2C9156631Eull;
 
 constexpr Seconds kTick{0.001};
 constexpr int kDaemonEveryTicks = 1000;  // 1 s daemon period.
@@ -259,6 +264,90 @@ GoldenRun RunWebsearchGolden() {
   return run;
 }
 
+// What the invalidation scenario exercised: its golden only pins the tick
+// memos if PROCHOT was entered and left and multi-rate took fast ticks.
+struct InvalidationCoverage {
+  int prochot_entries = 0;
+  int prochot_exits = 0;
+  uint64_t fast_ticks = 0;
+};
+
+// Walks every input that keys a tick pass: PROCHOT entry and exit (the
+// junction limit is lowered so the websearch lanes throttle), RAPL armed then
+// cleared, a websearch member offlined then back online, the single-core
+// work detached then re-attached, P-state writes, and a multi-rate stretch
+// (cooled below the hold guard first) followed by a return to every-tick.
+GoldenRun RunInvalidationGolden(InvalidationCoverage* cov) {
+  PlatformSpec spec = SkylakeXeon4114();
+  spec.thermal.tj_max_c = 58.0;
+  Package pkg(spec);
+  std::vector<int> ws_cores;
+  for (int c = 0; c < 9; c++) {
+    ws_cores.push_back(c);
+  }
+  WebSearch websearch(ws_cores, WebSearch::Params{}, /*seed=*/42);
+  pkg.AttachMultiWork(&websearch);
+  Process imagick(GetProfile("imagick"), /*seed=*/49);  // AVX-capped.
+  pkg.AttachWork(9, &imagick);
+  const auto request_all = [&pkg](Mhz mhz) {
+    for (int i = 0; i < pkg.num_cores(); i++) {
+      pkg.SetRequestedMhz(i, mhz);
+    }
+  };
+  request_all(spec.turbo_max_mhz);
+
+  constexpr int kTicks = 18000;
+  GoldenRun run;
+  TickHash hash;
+  bool was_hot = false;
+  for (int t = 1; t <= kTicks; t++) {
+    switch (t) {
+      case 4000:
+        pkg.SetRaplLimit(Watts{35.0});
+        break;
+      case 5500:
+        pkg.ClearRaplLimit();
+        break;
+      case 6500:
+        pkg.SetOnline(4, false);
+        break;
+      case 7500:
+        pkg.SetOnline(4, true);
+        break;
+      case 8500:
+        pkg.DetachWork(9);
+        break;
+      case 9500:
+        pkg.AttachWork(9, &imagick);
+        break;
+      case 10000:
+        request_all(Mhz{1200.0});
+        break;
+      case 12000:
+        pkg.SetTickPolicy(TickPolicy::kMultiRate);
+        break;
+      case 14000:
+        pkg.SetTickPolicy(TickPolicy::kEveryTick);
+        request_all(spec.turbo_max_mhz);
+        break;
+      default:
+        break;
+    }
+    pkg.Tick(kTick);
+    const bool hot = pkg.thermal().OverLimit();
+    cov->prochot_entries += (hot && !was_hot) ? 1 : 0;
+    cov->prochot_exits += (!hot && was_hot) ? 1 : 0;
+    was_hot = hot;
+    HashPackageTick(pkg, &hash);
+  }
+  hash.Add(static_cast<double>(websearch.completed_requests()));
+  hash.Add(websearch.LatencyPercentile(90.0).value());
+  cov->fast_ticks = pkg.tick_stats().fast_ticks;
+  run.hash = hash.value();
+  run.energy_bits = EnergyBits(pkg);
+  return run;
+}
+
 // --- Tests --------------------------------------------------------------------
 
 // Scoped kernel override: packages constructed inside the scope use the named
@@ -303,11 +392,63 @@ TEST_P(SoaEquivalenceKernels, WebsearchScenarioMatchesGolden) {
   CheckGolden("websearch", run.hash, run.energy_bits, kWebsearchHash, kWebsearchEnergyBits);
 }
 
+TEST_P(SoaEquivalenceKernels, InvalidationScenarioMatchesGolden) {
+  InvalidationCoverage cov;
+  const GoldenRun run = RunInvalidationGolden(&cov);
+  std::printf("invalidation: %d PROCHOT entries, %d exits, %llu fast ticks\n",
+              cov.prochot_entries, cov.prochot_exits,
+              static_cast<unsigned long long>(cov.fast_ticks));
+  EXPECT_GT(cov.prochot_entries, 0);
+  EXPECT_GT(cov.prochot_exits, 0);
+  EXPECT_GT(cov.fast_ticks, 0u);
+  CheckGolden("invalidation", run.hash, run.energy_bits, kInvalidationHash,
+              kInvalidationEnergyBits);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kernels, SoaEquivalenceKernels,
                          ::testing::Values("scalar", "avx2"),
                          [](const ::testing::TestParamInfo<const char*>& info) {
                            return std::string(info.param);
                          });
+
+// The every-tick power memo re-prices only when an input moved.  Ten
+// processes hold their busy fraction and activity, so between daemon steps
+// nothing moves: only the first tick after a step (whose P-state writes bump
+// the control epoch) may re-price.
+TEST(SoaEquivalence, SteadyPackageRepricesOnlyAfterDaemonSteps) {
+  Package pkg(SkylakeXeon4114());
+  MsrFile msr(&pkg);
+  std::vector<std::unique_ptr<Process>> procs;
+  std::vector<ManagedApp> managed;
+  for (int i = 0; i < 10; i++) {
+    const char* profile = i < 5 ? "leela" : "cactusBSSN";
+    procs.push_back(std::make_unique<Process>(GetProfile(profile), 7 + 1000 * i));
+    pkg.AttachWork(i, procs.back().get());
+    managed.push_back(ManagedApp{.name = profile,
+                                 .cpu = i,
+                                 .shares = i < 5 ? 20.0 : 80.0,
+                                 .high_priority = false,
+                                 .baseline_ips = Ips{2.0e9}});
+  }
+  DaemonConfig dcfg;
+  dcfg.kind = PolicyKind::kFrequencyShares;
+  dcfg.power_limit_w = Watts{45.0};
+  PowerDaemon daemon(&msr, managed, dcfg);
+  daemon.Start();
+
+  for (int period = 0; period < kTotalTicks / kDaemonEveryTicks; period++) {
+    pkg.Tick(kTick);
+    const uint64_t after_first = pkg.tick_stats().repriced_ticks;
+    for (int t = 1; t < kDaemonEveryTicks; t++) {
+      pkg.Tick(kTick);
+    }
+    EXPECT_EQ(pkg.tick_stats().repriced_ticks, after_first)
+        << "re-priced between daemon steps in period " << period;
+    daemon.Step();
+  }
+  EXPECT_GT(pkg.tick_stats().repriced_ticks, 0u);
+  EXPECT_EQ(pkg.tick_stats().full_ticks, static_cast<uint64_t>(kTotalTicks));
+}
 
 // Offline lanes are pinned once by SetOnline(false) and skipped by every tick
 // pass: the result vectors must stay byte-for-byte untouched while the lane's

@@ -167,6 +167,10 @@ Options Parse(int argc, char** argv) {
     std::fprintf(stderr, "at least one --app is required\n");
     Usage(argv[0]);
   }
+  if (!(opt.period_s > Seconds{0.0})) {
+    std::fprintf(stderr, "--period must be positive\n");
+    Usage(argv[0]);
+  }
   if (static_cast<int>(opt.apps.size()) > opt.platform.num_cores) {
     std::fprintf(stderr, "%zu apps but only %d cores\n", opt.apps.size(),
                  opt.platform.num_cores);
