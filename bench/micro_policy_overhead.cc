@@ -179,10 +179,12 @@ void BM_GovernorOndemandDecide(perf::State& state) {
 PAPD_PERF_BENCH(BM_GovernorOndemandDecide);
 
 void BM_SpinLockTick(perf::State& state) {
-  SpinLockWork work({0, 1, 2, 3}, SpinLockWork::Params{});
+  SpinLockWork work({0, 1, 2, 3});
   const std::vector<Mhz> freqs = {Mhz{3000}, Mhz{3000}, Mhz{3000}, Mhz{800}};
+  std::vector<WorkSlice> slices(freqs.size());
   for (auto _ : state) {
-    perf::DoNotOptimize(work.Run(Seconds{0.001}, freqs));
+    work.RunBatch(Seconds{0.001}, freqs.data(), slices.data(), slices.size());
+    perf::DoNotOptimize(slices.data());
   }
 }
 PAPD_PERF_BENCH(BM_SpinLockTick);
@@ -190,8 +192,10 @@ PAPD_PERF_BENCH(BM_SpinLockTick);
 void BM_WebSearchTick(perf::State& state) {
   WebSearch ws({0, 1, 2, 3, 4, 5, 6, 7, 8}, WebSearch::Params{}, 1);
   const std::vector<Mhz> freqs(9, Mhz{2600.0});
+  std::vector<WorkSlice> slices(freqs.size());
   for (auto _ : state) {
-    perf::DoNotOptimize(ws.Run(Seconds{0.001}, freqs));
+    ws.RunBatch(Seconds{0.001}, freqs.data(), slices.data(), slices.size());
+    perf::DoNotOptimize(slices.data());
   }
 }
 PAPD_PERF_BENCH(BM_WebSearchTick);

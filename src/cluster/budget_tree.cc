@@ -32,6 +32,11 @@ constexpr ClusterFaultHandler kClusterFaultHandlers[] = {
 static_assert(std::size(kClusterFaultHandlers) == kNumClusterFaultKinds,
               "every ClusterFaultKind needs a handler row");
 
+// Telemetry-stale ladder: hold the last-good measurement for this many
+// periods, then decay it by kStaleDecay per period toward the floor.
+constexpr int kStaleHoldPeriods = 3;
+constexpr double kStaleDecay = 0.5;
+
 bool FaultActive(const ClusterFault& fault, int64_t period) {
   return period >= fault.start_period && period < fault.start_period + fault.periods;
 }
@@ -496,9 +501,11 @@ void BudgetTree::Arbitrate(bool initial) {
       for (size_t k = 0; k < node.children.size(); k++) {
         nodes_[static_cast<size_t>(node.children[k])].grant_w = Watts{split[k]};
       }
-      if (biased && config_.audit_biased_splits) {
-        // PolicyAuditor's split post-conditions (termination + bounds) on
-        // the biased split; allocation only on the abort path.
+      if (biased) {
+        // Under kSloFeedback, PolicyAuditor's split post-conditions
+        // (termination + bounds) on every biased split, aborting on a
+        // violation: the structural proof that biasing shares cannot break
+        // the cap invariant.  Allocation only on the abort path.
         const auto violations =  // PAPD_HOT_ALLOW: audit-only, empty when clean.
             AuditProportionalSplit(AsResourceUnits(node.grant_w), scratch_req_, split);
         PAPD_CHECK(violations.empty())
@@ -568,11 +575,10 @@ void BudgetTree::RunFaultLadder() {
     // bounded number of periods), then kFallback (decay geometrically
     // toward the floor, so a frozen sensor cannot hold a high claim).
     node.stale_streak++;
-    if (node.stale_streak <= config_.stale_hold_periods) {
+    if (node.stale_streak <= kStaleHoldPeriods) {
       node.reported_w = node.last_good_w;
     } else {
-      const double decay =
-          std::pow(config_.stale_decay, node.stale_streak - config_.stale_hold_periods);
+      const double decay = std::pow(kStaleDecay, node.stale_streak - kStaleHoldPeriods);
       node.reported_w = std::max(node.floor_w, node.last_good_w * decay);
     }
   }

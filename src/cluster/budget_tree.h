@@ -31,9 +31,9 @@
 // periods:
 //   - kTelemetryStale: a subtree's power telemetry stops updating.  The
 //     arbiter mirrors the daemon's degradation ladder: hold the last-good
-//     measurement for stale_hold_periods (kHold), then decay it
-//     geometrically toward the subtree floor (kFallback) so a dead sensor
-//     cannot pin a generous demand claim forever.
+//     measurement for 3 periods (kHold), then halve it every period toward
+//     the subtree floor (kFallback) so a dead sensor cannot pin a generous
+//     demand claim forever.
 //   - kBreakerTrip: a node's breaker trips; its effective ceiling is
 //     slashed to its floor for the fault window, revoking everything above
 //     the guaranteed minimums (which stay feasible — floors bubbled up).
@@ -108,18 +108,9 @@ struct BudgetTreeConfig {
   ObsSink* obs = nullptr;
   TickOptions tick;
   std::vector<ClusterFault> faults;
-  // Telemetry-stale ladder: hold the last-good measurement for this many
-  // periods, then decay it by stale_decay per period toward the floor.
-  int stale_hold_periods = 3;
-  double stale_decay = 0.5;
   // Record a PeriodRecord per Step.  Off for the 100k-core bench: at 10^3+
   // nodes the per-period snapshot dominates the step's allocations.
   bool record_history = true;
-  // Under kSloFeedback: post-audit every biased proportional split with
-  // AuditProportionalSplit (the PolicyAuditor split checks), aborting on a
-  // violation — the structural proof that biasing shares cannot break the
-  // cap invariant.
-  bool audit_biased_splits = true;
 };
 
 class BudgetTree {

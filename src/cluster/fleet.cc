@@ -14,6 +14,14 @@ namespace papd {
 
 namespace {
 
+// The "priority" fleet policy multiplies hot sockets' arbiter shares by
+// this.
+constexpr double kPriorityBoost = 2.0;
+// A socket-period only counts toward SLO accounting when its window
+// completed at least this many requests (a starved window with two samples
+// is noise, not a measurement).
+constexpr size_t kMinWindowSamples = 5;
+
 // Latency histogram buckets (seconds): log-spaced around typical websearch
 // response times (a few ms fixed latency up to deep-queue seconds under
 // throttling).
@@ -55,7 +63,7 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
   RackSocketConfig proto{.platform = cfg_.platform};
   proto.policy = cfg_.socket_policy;
   proto.seed = cfg_.seed;
-  proto.audit = cfg_.socket_audit;
+  proto.audit = false;  // The per-socket daemon auditor is slow at 256+ sockets.
   proto.websearch = true;
   proto.with_cpuburn = cfg_.with_cpuburn;
   proto.websearch_params = cfg_.service;
@@ -65,8 +73,6 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
   proto.websearch_params.open_loop.shape = cfg_.shape;
   proto.websearch_params.open_loop.diurnal_amplitude = cfg_.diurnal_amplitude;
   proto.websearch_params.open_loop.diurnal_period_s = cfg_.diurnal_period_s;
-  proto.websearch_params.open_loop.trace = cfg_.trace;
-  proto.websearch_params.open_loop.trace_step_s = cfg_.trace_step_s;
   proto.websearch_params.open_loop.record_arrivals = cfg_.record_arrivals;
 
   BudgetNodeConfig root;
@@ -97,7 +103,7 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
             Seconds{static_cast<double>(socket_index % 97)};
         const double weight = hot ? cfg_.hot_multiplier : 1.0;
         sc.websearch_params.open_loop.users = cfg_.users * weight / weight_sum;
-        sc.shares = cfg_.priority_hot && hot ? cfg_.priority_boost : 1.0;
+        sc.shares = cfg_.priority_hot && hot ? kPriorityBoost : 1.0;
         leaf.shares = sc.shares;
         rack.shares += leaf.shares;
         rack.children.push_back(std::move(leaf));
@@ -206,7 +212,7 @@ void Fleet::UpdateWindowStats() {
 
     window_violated_[si] = 0;
     window_p90_[si] = Seconds{0.0};
-    if (window.size() >= cfg_.min_window_samples) {
+    if (window.size() >= kMinWindowSamples) {
       ++measured_periods_[si];
       window_latency_.Clear();
       window_latency_.Add(window);

@@ -4,10 +4,10 @@
 // This is ROADMAP item 2, the "millions of users" demonstration.  A Fleet
 // builds a rows x racks x sockets BudgetTree whose leaves are serving
 // SocketStacks (RackSocketConfig::websearch): each runs the open-loop
-// WebSearch driver — Poisson arrivals, optionally diurnal- or
-// trace-shaped, from its shard of a simulated user population.  The load
-// balancer is a *sticky population shard*: users are assigned to sockets
-// up front (weighted, so hot shards exist), not routed per request.
+// WebSearch workload — Poisson arrivals, optionally diurnal-shaped, from its
+// shard of a simulated user population.  The load balancer is a *sticky
+// population shard*: users are assigned to sockets up front (weighted, so
+// hot shards exist), not routed per request.
 // Sticky sharding is what real search fleets do (a shard owns its index
 // partition), and it keeps sockets share-nothing, so leaf stepping stays
 // bit-identical serial vs parallel.
@@ -28,8 +28,7 @@
 // same cluster cap):
 //   - static shares: RackArbiterKind::kShares, uniform socket shares;
 //   - priority: kShares with hot shards marked high-priority (their share
-//     weight multiplied by priority_boost) — the oracle that knows the
-//     skew up front;
+//     weight doubled) — the oracle that knows the skew up front;
 //   - SLO feedback: kSloFeedback, uniform shares, biases learned online.
 
 #ifndef SRC_CLUSTER_FLEET_H_
@@ -72,8 +71,6 @@ struct FleetConfig {
   ArrivalShape shape = ArrivalShape::kConstant;
   double diurnal_amplitude = 0.5;
   Seconds diurnal_period_s{86400.0};
-  std::vector<double> trace;  // ArrivalShape::kTrace multipliers.
-  Seconds trace_step_s{3600.0};
   // Load skew: the first round(hot_fraction * sockets) sockets (contiguous,
   // so whole racks run hot and tree levels above the leaf matter) carry
   // hot_multiplier x the per-socket user share.
@@ -95,26 +92,20 @@ struct FleetConfig {
   // --- Policy ----------------------------------------------------------------
   PolicyKind socket_policy = PolicyKind::kFrequencyShares;
   RackArbiterKind arbiter = RackArbiterKind::kShares;
-  // "Priority" fleet policy: multiply hot sockets' arbiter shares by
-  // priority_boost (kShares semantics otherwise).
+  // "Priority" fleet policy: double hot sockets' arbiter shares (kShares
+  // semantics otherwise).
   bool priority_hot = false;
-  double priority_boost = 2.0;
   // Fleet SLO: 150 ms p90.  The service-time distribution alone (mean
   // ~40 ms, exponential) puts an unloaded socket's p90 near 110 ms, so
   // anything tighter is unmeetable at any grant; max_bias 2.0 is enough to
   // double a hot shard's proportional slice without starving cold rows.
   SloFeedbackOptions slo{.slo_p90 = Seconds{0.150}, .max_bias = 2.0};
-  // A socket-period only counts toward SLO accounting when its window
-  // completed at least this many requests (a starved window with two
-  // samples is noise, not a measurement).
-  size_t min_window_samples = 5;
 
   // --- Mechanics -------------------------------------------------------------
   Seconds control_period_s{1.0};
   Seconds tick_s{0.001};
   uint64_t seed = 42;
   bool with_cpuburn = false;
-  bool socket_audit = false;  // Per-socket daemon auditor (slow at 256+).
   ObsSink* obs = nullptr;
   TickOptions tick;
 };

@@ -114,11 +114,6 @@ uint64_t HashSocketConfig(const RackSocketConfig& cfg) {
     HashDouble(&h, ol.diurnal_amplitude);
     HashDouble(&h, ol.diurnal_period_s.value());
     HashDouble(&h, ol.shape_phase_s.value());
-    HashU64(&h, ol.trace.size());
-    for (const double m : ol.trace) {
-      HashDouble(&h, m);
-    }
-    HashDouble(&h, ol.trace_step_s.value());
     HashU64(&h, cfg.with_cpuburn ? 1 : 0);
     HashDouble(&h, cfg.websearch_shares);
     HashDouble(&h, cfg.cpuburn_shares);

@@ -1,16 +1,17 @@
 #include "src/cpusim/timeshare.h"
 
 #include <algorithm>
-#include <cassert>
+
+#include "src/common/check.h"
 
 namespace papd {
 
 TimeSharedCore::TimeSharedCore(std::vector<Member> members) : members_(std::move(members)) {
-  assert(!members_.empty());
+  PAPD_CHECK(!members_.empty());
   double total = 0.0;
   for (const Member& m : members_) {
-    assert(m.work != nullptr);
-    assert(m.residency >= 0.0);
+    PAPD_CHECK(m.work != nullptr);
+    PAPD_CHECK_GE(m.residency, 0.0);
     total += m.residency;
   }
   if (total > 1.0) {
@@ -21,7 +22,14 @@ TimeSharedCore::TimeSharedCore(std::vector<Member> members) : members_(std::move
   member_instructions_.assign(members_.size(), 0.0);
 }
 
-WorkSlice TimeSharedCore::Run(Seconds dt, Mhz freq_mhz) {
+void TimeSharedCore::RunBatch(Seconds dt, const Mhz* freqs_mhz, WorkSlice* out_slices,
+                              int n) {
+  for (int k = 0; k < n; ++k) {
+    out_slices[k] = RunOne(dt, freqs_mhz[k]);
+  }
+}
+
+WorkSlice TimeSharedCore::RunOne(Seconds dt, Mhz freq_mhz) {
   // Run each member for its residency slice of dt.  The scheduler quantum
   // (~ms) is far below the 1 Hz monitoring period, so representing the
   // interleaving as exact fractional residency is accurate for both average
@@ -34,7 +42,8 @@ WorkSlice TimeSharedCore::Run(Seconds dt, Mhz freq_mhz) {
     if (m.residency <= 0.0) {
       continue;
     }
-    WorkSlice s = m.work->Run(dt * m.residency, freq_mhz);
+    WorkSlice s;
+    m.work->RunBatch(dt * m.residency, &freq_mhz, &s, 1);
     combined.instructions += s.instructions;
     member_instructions_[i] += s.instructions;
     const double busy = s.busy_fraction * m.residency;
@@ -50,8 +59,8 @@ WorkSlice TimeSharedCore::Run(Seconds dt, Mhz freq_mhz) {
 }
 
 void TimeSharedCore::SetResidency(size_t member, double residency) {
-  assert(member < members_.size());
-  assert(residency >= 0.0);
+  PAPD_CHECK_LT(member, members_.size()) << " TimeSharedCore member out of range";
+  PAPD_CHECK_GE(residency, 0.0) << " for TimeSharedCore member " << member;
   members_[member].residency = residency;
 }
 

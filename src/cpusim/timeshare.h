@@ -29,7 +29,7 @@ class TimeSharedCore : public CoreWork {
   // values are clamped if they do.
   explicit TimeSharedCore(std::vector<Member> members);
 
-  WorkSlice Run(Seconds dt, Mhz freq_mhz) override;
+  void RunBatch(Seconds dt, const Mhz* freqs_mhz, WorkSlice* out_slices, int n) override;
   bool UsesAvx() const override;
   std::string Name() const override { return "timeshare"; }
 
@@ -38,10 +38,14 @@ class TimeSharedCore : public CoreWork {
 
   // Adjusts a member's residency at runtime (the single-core sharing
   // policy's CPU-shares knob).  Values are used as-is; keep the sum <= 1.
+  // `member` must index a member and `residency` be >= 0 (checked).
   void SetResidency(size_t member, double residency);
   double residency(size_t member) const { return members_[member].residency; }
 
  private:
+  // One slice: each member runs for its residency fraction of dt.
+  WorkSlice RunOne(Seconds dt, Mhz freq_mhz);
+
   std::vector<Member> members_;
   std::vector<double> member_instructions_;
 };

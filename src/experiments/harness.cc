@@ -85,7 +85,7 @@ void MeasureSocket(
   std::unique_ptr<obs::TraceRecorder> recorder;
   dcfg.obs.sink = run.obs.sink;
   if (run.obs.trace && dcfg.obs.sink == nullptr) {
-    recorder = std::make_unique<obs::TraceRecorder>(run.obs.ring_capacity);
+    recorder = std::make_unique<obs::TraceRecorder>();
     dcfg.obs.sink = recorder.get();
   }
   // The drivers step the simulator themselves, so socket hold (which moves
@@ -253,16 +253,7 @@ WebsearchResult RunWebsearch(const WebsearchConfig& config) {
       config.warmup_s,
       [&config](SocketStack& s) {
         s.websearch->ResetStats();
-        if (config.target_requests > 0) {
-          // Early exit once enough transactions completed; the predicate is
-          // evaluated coarsely so it stays off the per-tick fast path.
-          const WebSearch& ws = *s.websearch;
-          s.sim.RunUntil(
-              [&ws, &config] { return ws.completed_requests() >= config.target_requests; },
-              config.measure_s, /*check_period_s=*/Seconds{0.25});
-        } else {
-          s.sim.Run(config.measure_s);
-        }
+        s.sim.Run(config.measure_s);
       },
       [&config, &result](SocketStack& s, const CounterWindow& start, const CounterWindow& end) {
         result.p50_latency = s.websearch->LatencyPercentile(50.0);

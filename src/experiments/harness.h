@@ -48,10 +48,9 @@ struct DaemonOptions {
 // Observability for one run (src/obs).
 struct ObsOptions {
   // Record trace events.  With no external `sink` the run creates its own
-  // TraceRecorder and returns the events in ScenarioResult::trace_events.
+  // TraceRecorder (default per-thread ring capacity) and returns the events
+  // in ScenarioResult::trace_events.
   bool trace = false;
-  // Per-thread ring capacity of the internal recorder.
-  size_t ring_capacity = obs::kDefaultRingCapacity;
   // External sink; when set, events go here instead of the internal
   // recorder (tests assert on emitted events through this).
   ObsSink* sink = nullptr;
@@ -181,10 +180,6 @@ struct WebsearchConfig {
   int users = 300;
   Seconds warmup_s{30.0};
   Seconds measure_s{600.0};  // The paper's 600 s transaction window.
-  // When > 0 the measurement window ends as soon as this many requests have
-  // completed (checked at a coarse period), with measure_s as the deadline.
-  // Lets quick runs stop early without changing per-tick results.
-  size_t target_requests = 0;
   uint64_t seed = 42;
   // Open-loop arrival process forwarded to WebSearch::Params; the default
   // (disabled) keeps the paper's closed-loop 300-user client population.

@@ -6,6 +6,17 @@
 namespace papd {
 namespace {
 
+// Ondemand: utilization at which the request jumps straight to max.
+constexpr double kOndemandUpThreshold = 0.80;
+// Ondemand: proportional target = util * max / this factor, i.e. keep some
+// headroom so bursts don't immediately saturate.
+constexpr double kOndemandHeadroom = 0.80;
+// Conservative: step up at or above, down at or below these utilizations.
+constexpr double kConservativeUpThreshold = 0.80;
+constexpr double kConservativeDownThreshold = 0.20;
+// Conservative: step per decision as a fraction of the frequency range.
+constexpr double kConservativeFreqStep = 0.05;
+
 Mhz Quantize(Mhz mhz, const GovernorLimits& limits) {
   const double steps = std::round((mhz - limits.min_mhz) / limits.step_mhz);
   return std::clamp(limits.min_mhz + steps * limits.step_mhz, limits.min_mhz, limits.max_mhz);
@@ -31,27 +42,21 @@ Mhz UserspaceGovernor::Decide(double utilization, Mhz current_mhz) {
   return Quantize(target_mhz_, limits_);
 }
 
-OndemandGovernor::OndemandGovernor(GovernorLimits limits)
-    : OndemandGovernor(limits, Params()) {}
-
 Mhz OndemandGovernor::Decide(double utilization, Mhz current_mhz) {
   (void)current_mhz;
-  if (utilization >= params_.up_threshold) {
+  if (utilization >= kOndemandUpThreshold) {
     return limits_.max_mhz;
   }
-  return Quantize(utilization * limits_.max_mhz / params_.headroom, limits_);
+  return Quantize(utilization * limits_.max_mhz / kOndemandHeadroom, limits_);
 }
-
-ConservativeGovernor::ConservativeGovernor(GovernorLimits limits)
-    : ConservativeGovernor(limits, Params()) {}
 
 Mhz ConservativeGovernor::Decide(double utilization, Mhz current_mhz) {
   const Mhz step =
-      std::max(limits_.step_mhz, params_.freq_step * (limits_.max_mhz - limits_.min_mhz));
-  if (utilization >= params_.up_threshold) {
+      std::max(limits_.step_mhz, kConservativeFreqStep * (limits_.max_mhz - limits_.min_mhz));
+  if (utilization >= kConservativeUpThreshold) {
     return Quantize(current_mhz + step, limits_);
   }
-  if (utilization <= params_.down_threshold) {
+  if (utilization <= kConservativeDownThreshold) {
     return Quantize(current_mhz - step, limits_);
   }
   return Quantize(current_mhz, limits_);

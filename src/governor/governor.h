@@ -76,45 +76,28 @@ class UserspaceGovernor : public FreqGovernor {
   Mhz target_mhz_;
 };
 
-// Linux ondemand: jump to max above the up-threshold, otherwise request
-// proportional-to-utilization with headroom.
+// Linux ondemand: jump to max at 80% utilization, otherwise request
+// proportional-to-utilization with headroom (thresholds in governor.cc).
 class OndemandGovernor : public FreqGovernor {
  public:
-  struct Params {
-    double up_threshold = 0.80;
-    // Proportional target = util * max / this factor, i.e. keep some
-    // headroom so bursts don't immediately saturate.
-    double headroom = 0.80;
-  };
-  explicit OndemandGovernor(GovernorLimits limits);
-  OndemandGovernor(GovernorLimits limits, Params params)
-      : limits_(limits), params_(params) {}
+  explicit OndemandGovernor(GovernorLimits limits) : limits_(limits) {}
   std::string Name() const override { return "ondemand"; }
   Mhz Decide(double utilization, Mhz current_mhz) override;
 
  private:
   GovernorLimits limits_;
-  Params params_;
 };
 
-// Linux conservative: like ondemand but moves in steps instead of jumping.
+// Linux conservative: like ondemand but moves in steps instead of jumping
+// (thresholds and step in governor.cc).
 class ConservativeGovernor : public FreqGovernor {
  public:
-  struct Params {
-    double up_threshold = 0.80;
-    double down_threshold = 0.20;
-    // Step per decision as a fraction of the frequency range.
-    double freq_step = 0.05;
-  };
-  explicit ConservativeGovernor(GovernorLimits limits);
-  ConservativeGovernor(GovernorLimits limits, Params params)
-      : limits_(limits), params_(params) {}
+  explicit ConservativeGovernor(GovernorLimits limits) : limits_(limits) {}
   std::string Name() const override { return "conservative"; }
   Mhz Decide(double utilization, Mhz current_mhz) override;
 
  private:
   GovernorLimits limits_;
-  Params params_;
 };
 
 enum class GovernorKind { kPerformance, kPowersave, kUserspace, kOndemand, kConservative };

@@ -8,8 +8,8 @@
 
 namespace papd {
 
-GovernorDaemon::GovernorDaemon(MsrFile* msr, GovernorKind kind, bool audit)
-    : msr_(msr), turbostat_(msr), audit_(audit) {
+GovernorDaemon::GovernorDaemon(MsrFile* msr, GovernorKind kind)
+    : msr_(msr), turbostat_(msr) {
   const PlatformSpec& spec = msr->spec();
   const GovernorLimits limits{
       .min_mhz = spec.min_mhz, .max_mhz = spec.turbo_max_mhz, .step_mhz = spec.step_mhz};
@@ -73,16 +73,13 @@ void GovernorDaemon::Step() {
       continue;  // Hold this core; its busy reading is last period's.
     }
     requests_[i] = governors_[i]->Decide(sample.cores[i].busy, requests_[i]);
-    if (audit_) {
-      const PlatformSpec& spec = msr_->spec();
-      PAPD_CHECK(IsFinite(requests_[i]))
-          << " governor decision for core " << c << " is non-finite";
-      PAPD_CHECK_GE(requests_[i], spec.min_mhz) << " governor decision for core " << c;
-      PAPD_CHECK_LE(requests_[i], spec.turbo_max_mhz) << " governor decision for core " << c;
-      PAPD_CHECK(OnFrequencyGrid(requests_[i] - spec.min_mhz, spec.step_mhz))
-          << " governor decision " << requests_[i] << " MHz for core " << c << " off the "
-          << spec.step_mhz << " MHz grid";
-    }
+    const PlatformSpec& spec = msr_->spec();
+    PAPD_CHECK(IsFinite(requests_[i])) << " governor decision for core " << c << " is non-finite";
+    PAPD_CHECK_GE(requests_[i], spec.min_mhz) << " governor decision for core " << c;
+    PAPD_CHECK_LE(requests_[i], spec.turbo_max_mhz) << " governor decision for core " << c;
+    PAPD_CHECK(OnFrequencyGrid(requests_[i] - spec.min_mhz, spec.step_mhz))
+        << " governor decision " << requests_[i] << " MHz for core " << c << " off the "
+        << spec.step_mhz << " MHz grid";
     if (msr_->spec().max_simultaneous_pstates == 0) {
       msr_->WritePerfTargetMhz(c, requests_[i]);
     }

@@ -23,10 +23,10 @@ namespace papd {
 class GovernorDaemon {
  public:
   // One governor of `kind` per core; limits default to the platform range.
-  // With `audit` (the default) every decision is checked against the
-  // platform envelope and frequency grid before it is programmed; a
-  // violation aborts with a formatted CHECK failure.
-  GovernorDaemon(MsrFile* msr, GovernorKind kind, bool audit = true);
+  // Every decision is checked against the platform envelope and frequency
+  // grid before it is programmed; a violation aborts with a formatted
+  // CHECK failure.
+  GovernorDaemon(MsrFile* msr, GovernorKind kind);
 
   // One sampling + decision iteration; call once per period (Linux cpufreq
   // uses tens of milliseconds; the bench uses 100 ms).
@@ -67,7 +67,6 @@ class GovernorDaemon {
 
   MsrFile* msr_;
   Turbostat turbostat_;
-  bool audit_;
   std::vector<std::unique_ptr<FreqGovernor>> governors_;
   std::vector<Mhz> requests_;
   int invalid_streak_ = 0;

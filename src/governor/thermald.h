@@ -25,14 +25,11 @@ class ThermalDaemon {
     kGlobalRapl,   // Global: walk the package RAPL limit down/up.
   };
 
+  // Throttling is released only 3 C below the limit (avoids flapping at the
+  // threshold); kGlobalRapl moves the limit 2 W per period.
   struct Config {
     Celsius limit_c = 85.0;
     Mode mode = Mode::kPerCoreDvfs;
-    // Release throttling only below limit - hysteresis (avoids flapping at
-    // the threshold).
-    Celsius hysteresis_c = 3.0;
-    // kGlobalRapl: watts moved per period.
-    Watts rapl_step_w{2.0};
   };
 
   ThermalDaemon(MsrFile* msr, Config config);

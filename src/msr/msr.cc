@@ -1,9 +1,9 @@
 #include "src/msr/msr.h"
 
-#include <cassert>
 #include <cmath>
 #include <cstdlib>
 
+#include "src/common/check.h"
 #include "src/common/logging.h"
 
 namespace papd {
@@ -15,8 +15,9 @@ uint64_t EnergyToRaplCounter(Joules j) {
   return static_cast<uint64_t>(std::llround(units)) & 0xFFFFFFFFULL;
 }
 
-[[noreturn]] void GeneralProtectionFault(uint32_t reg) {
-  PAPD_LOG_ERROR("#GP: access to unsupported MSR 0x%x", reg);
+[[noreturn]] void GeneralProtectionFault(uint32_t reg,
+                                         const char* what = "access to unsupported MSR") {
+  PAPD_LOG_ERROR("#GP: %s 0x%x", what, reg);
   std::abort();
 }
 
@@ -126,7 +127,9 @@ void MsrFile::Write(uint32_t reg, int cpu, uint64_t value) {
         return;
       }
       const int slot = static_cast<int>(value & 0x7);
-      assert(slot >= 0 && slot < 3);
+      if (slot >= static_cast<int>(pstate_def_mhz_.size())) {
+        GeneralProtectionFault(reg, "P-state selector beyond the defined slots in MSR");
+      }
       pstate_select_[static_cast<size_t>(cpu)] = slot;
       package_->SetRequestedMhz(cpu, pstate_def_mhz_[static_cast<size_t>(slot)]);
       return;
@@ -160,7 +163,7 @@ void MsrFile::WritePerfTargetMhz(int cpu, Mhz mhz) {
 }
 
 void MsrFile::WritePstateDefMhz(int slot, Mhz mhz) {
-  assert(slot >= 0 && slot < 3);
+  PAPD_CHECK(slot >= 0 && slot < static_cast<int>(pstate_def_mhz_.size())) << " P-state slot";
   Write(kMsrAmdPstateDef0 + static_cast<uint32_t>(slot), /*cpu=*/0,
         static_cast<uint64_t>(std::llround(mhz.value() / 25.0)));
 }

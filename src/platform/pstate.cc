@@ -1,15 +1,16 @@
 #include "src/platform/pstate.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
+
+#include "src/common/check.h"
 
 namespace papd {
 
 PStateTable::PStateTable(Mhz min_mhz, Mhz max_mhz, Mhz step_mhz) : step_mhz_(step_mhz) {
-  assert(step_mhz > Mhz{0.0});
-  assert(min_mhz > Mhz{0.0});
-  assert(max_mhz >= min_mhz);
+  PAPD_CHECK_GT(step_mhz, Mhz{0.0});
+  PAPD_CHECK_GT(min_mhz, Mhz{0.0});
+  PAPD_CHECK_GE(max_mhz, min_mhz);
   // Build descending so index 0 == P0 == fastest.
   const int steps = static_cast<int>(std::round((max_mhz - min_mhz) / step_mhz));
   for (int i = steps; i >= 0; i--) {

@@ -1,14 +1,15 @@
 #include "src/platform/voltage_curve.h"
 
-#include <cassert>
 #include <cstddef>
+
+#include "src/common/check.h"
 
 namespace papd {
 
 VoltageCurve::VoltageCurve(std::vector<Point> points) : points_(std::move(points)) {
-  assert(!points_.empty());
+  PAPD_CHECK(!points_.empty());
   for (size_t i = 1; i < points_.size(); i++) {
-    assert(points_[i].mhz > points_[i - 1].mhz);
+    PAPD_CHECK_GT(points_[i].mhz, points_[i - 1].mhz) << " voltage curve point " << i;
   }
 }
 

@@ -10,6 +10,21 @@
 #include "src/policy/pstate_selector.h"
 
 namespace papd {
+namespace {
+
+// Degradation ladder: consecutive invalid samples before falling back to
+// the static floor.
+constexpr int kFallbackAfter = 3;
+// Consecutive failed (read-back mismatch) programming attempts before the
+// RAPL safety net is armed.  The net is armed (on platforms that have a
+// RAPL limit) while in fallback or under persistent write failure, and
+// disarmed on recovery.
+constexpr int kWriteRetryLimit = 3;
+// Exponential backoff cap, in control periods, between programming retries
+// while writes keep failing.
+constexpr int kMaxBackoffPeriods = 4;
+
+}  // namespace
 
 // The Chrome-trace exporter renders TraceEvent ladder codes by this order.
 static_assert(static_cast<int>(DegradationState::kNominal) == 0 &&
@@ -151,13 +166,13 @@ void PowerDaemon::TransitionLadder(DegradationState to) {
 
 void PowerDaemon::SetPowerLimit(Watts limit_w) {
   config_.power_limit_w = limit_w;
-  if (config_.program_rapl || config_.kind == PolicyKind::kRaplOnly) {
+  if (config_.kind == PolicyKind::kRaplOnly) {
     msr_->WriteRaplLimitW(limit_w);
   }
 }
 
 void PowerDaemon::Start() {
-  if (config_.program_rapl || config_.kind == PolicyKind::kRaplOnly) {
+  if (config_.kind == PolicyKind::kRaplOnly) {
     msr_->WriteRaplLimitW(config_.power_limit_w);
   }
   if (priority_policy_ != nullptr) {
@@ -208,14 +223,12 @@ void PowerDaemon::StepWithSample(const TelemetrySample& sample) {
     // sample resumes from the pre-fault targets.  (Turbostat already
     // counted the rejection in the metrics registry.)
     bad_sample_streak_++;
-    if (bad_sample_streak_ >= config_.degradation.fallback_after) {
+    if (bad_sample_streak_ >= kFallbackAfter) {
       if (state_ != DegradationState::kFallback) {
         PAPD_LOG_INFO("daemon: %d consecutive invalid samples, entering fallback",
                       bad_sample_streak_);
         TransitionLadder(DegradationState::kFallback);
-        if (config_.degradation.rapl_safety_net) {
-          ArmRaplSafetyNet();
-        }
+        ArmRaplSafetyNet();
       }
       c_fallback_periods_->Increment();
       Program(FallbackTargets());
@@ -330,7 +343,7 @@ void PowerDaemon::DisarmRaplSafetyNet() {
     return;
   }
   // Never turn off a limit the configuration itself asked for.
-  if (!config_.program_rapl && config_.kind != PolicyKind::kRaplOnly) {
+  if (config_.kind != PolicyKind::kRaplOnly) {
     msr_->DisableRaplLimit();
   }
   rapl_net_armed_ = false;
@@ -393,11 +406,10 @@ void PowerDaemon::Program(const std::vector<Mhz>& want) {
     c_failed_programs_->Increment();
     write_fail_streak_++;
     retry_wait_ = backoff_;
-    backoff_ = std::min(backoff_ * 2, config_.degradation.max_backoff_periods);
+    backoff_ = std::min(backoff_ * 2, kMaxBackoffPeriods);
     PAPD_LOG_INFO("daemon: P-state program failed read-back (streak %d), backing off %d periods",
                   write_fail_streak_, retry_wait_);
-    if (write_fail_streak_ >= config_.degradation.write_retry_limit &&
-        config_.degradation.rapl_safety_net) {
+    if (write_fail_streak_ >= kWriteRetryLimit) {
       ArmRaplSafetyNet();
     }
   }

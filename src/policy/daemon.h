@@ -23,18 +23,19 @@
 //             change — monitoring-only policies never rewrite registers);
 //   hold      invalid sample: keep the last-known-good targets, touch
 //             nothing, wait for telemetry to come back;
-//   fallback  `fallback_after` consecutive invalid samples: program every
-//             running core to a conservative static floor (the platform
-//             minimum by default) and, where the platform has one, arm the
-//             hardware RAPL limit — power can no longer exceed the budget
-//             no matter how long telemetry stays dark.
+//   fallback  three consecutive invalid samples: program every running
+//             core to a conservative static floor (the platform minimum by
+//             default) and, where the platform has one, arm the hardware
+//             RAPL limit — power can no longer exceed the budget no matter
+//             how long telemetry stays dark.
 //
 // Recovery is immediate: the first valid sample returns the daemon to
 // nominal, and because the policy's internal state was frozen during the
 // fault the next redistribution resumes from the pre-fault targets.
 // P-state writes are verified by read-back; failed programming is retried
-// with bounded exponential backoff, and `write_retry_limit` consecutive
-// failures arm the same RAPL safety net.
+// with exponential backoff capped at four periods, and three consecutive
+// failures arm the same RAPL safety net.  These counts are constants in
+// daemon.cc; only the ladder switch and the fallback floor are settable.
 
 #ifndef SRC_POLICY_DAEMON_H_
 #define SRC_POLICY_DAEMON_H_
@@ -68,19 +69,8 @@ struct DegradationConfig {
   // consumed as-is, unconditional reprogramming, no write verification) —
   // the fault-tolerance ablation's "naive" baseline.
   bool enabled = true;
-  // Consecutive invalid samples before falling back to the static floor.
-  int fallback_after = 3;
-  // Consecutive failed (verification mismatch) programming attempts before
-  // the RAPL safety net is armed.
-  int write_retry_limit = 3;
-  // Exponential backoff cap, in control periods, between programming
-  // retries while writes keep failing.
-  int max_backoff_periods = 4;
   // Static floor programmed in fallback; 0 = the platform minimum.
   Mhz floor_mhz{0.0};
-  // Arm the hardware RAPL limit (platforms that have one) while in
-  // fallback or under persistent write failure; disarmed on recovery.
-  bool rapl_safety_net = true;
 };
 
 // Degradation/fault bookkeeping, exposed for tests and benches.  This is a
@@ -108,14 +98,13 @@ struct DaemonObs {
 
 struct DaemonConfig {
   PolicyKind kind = PolicyKind::kFrequencyShares;
+  // The package budget; kRaplOnly also programs it into the hardware RAPL
+  // limit register.
   Watts power_limit_w{85.0};
   Seconds period_s{1.0};
   PriorityPolicy::Options priority;
   // kStatic: the frequency every managed core is pinned to.
   Mhz static_mhz{0.0};
-  // When true (kRaplOnly or on request), the hardware RAPL limit register
-  // is programmed with power_limit_w.
-  bool program_rapl = false;
   // Enable HWP-style saturation hints (paper Section 4.4): the daemon
   // detects each app's highest useful frequency at runtime and the policies
   // stop allocating beyond it, redistributing the excess.
@@ -145,9 +134,8 @@ class PowerDaemon {
   PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfig config);
 
   // Runs a caller-provided share policy instead of one of the built-in
-  // kinds (config.kind is ignored for policy selection but still controls
-  // RAPL programming).  This is the extension point for custom policies;
-  // see examples/custom_policy.cc.
+  // kinds (config.kind is ignored for policy selection).  This is the
+  // extension point for custom policies; see examples/custom_policy.cc.
   PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfig config,
               std::unique_ptr<ShareResource> custom_policy);
 
@@ -156,7 +144,8 @@ class PowerDaemon {
   PowerDaemon(const PowerDaemon&) = delete;
   PowerDaemon& operator=(const PowerDaemon&) = delete;
 
-  // Programs the initial distribution (and the RAPL register if requested).
+  // Programs the initial distribution (and, under kRaplOnly, the RAPL
+  // register).
   void Start();
 
   // One control iteration; call once per period.
@@ -164,8 +153,8 @@ class PowerDaemon {
 
   // Changes the power limit at runtime (cluster managers adjust node caps
   // while jobs run, e.g. Facebook's Dynamo cited in the paper).  Takes
-  // effect at the next Step(); reprograms the RAPL register immediately
-  // when hardware capping is in use.
+  // effect at the next Step(); under kRaplOnly it reprograms the RAPL
+  // register immediately.
   void SetPowerLimit(Watts limit_w);
 
   // Per-app frequency targets after the last iteration;

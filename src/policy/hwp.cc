@@ -4,15 +4,38 @@
 #include <cmath>
 
 namespace papd {
+namespace {
+
+// Rule 1: an app whose active/requested ratio falls below this fraction of
+// the *best* ratio any app achieves has an app-specific refusal.
+// Turbo-ladder gaps are shallow (~0.93 of best); AVX caps are deep (~0.6),
+// so 0.85 separates them.
+constexpr double kGrantRatio = 0.85;
+// ...for this many consecutive periods.
+constexpr int kGrantPeriods = 3;
+// Rule 2: allowed performance loss at the useful max.
+constexpr double kPerfLossBudget = 0.08;
+// Rule 2: extra loss tolerated before an established cap is dropped (phase
+// noise moves bucket EWMAs by a few percent).
+constexpr double kClearHysteresis = 0.04;
+// Rule 2: minimum frequency saving for a cap to be worth declaring.
+constexpr Mhz kMinSavingMhz{400.0};
+// IPS EWMA smoothing per bucket.
+constexpr double kEwmaAlpha = 0.30;
+// Frequency bucket width.
+constexpr Mhz kBucketMhz{200.0};
+// Probe one app every this many Observe() calls.
+constexpr int kProbeInterval = 4;
+// Probe this far below the app's current operating frequency.
+constexpr Mhz kProbeStepMhz{500.0};
+
+}  // namespace
 
 SaturationDetector::SaturationDetector(PolicyPlatform platform, size_t num_apps)
-    : SaturationDetector(platform, num_apps, Params()) {}
-
-SaturationDetector::SaturationDetector(PolicyPlatform platform, size_t num_apps, Params params)
-    : platform_(platform), params_(params), apps_(num_apps) {}
+    : platform_(platform), apps_(num_apps) {}
 
 int SaturationDetector::BucketOf(Mhz mhz) const {
-  return static_cast<int>(std::lround(mhz / params_.bucket_mhz));
+  return static_cast<int>(std::lround(mhz / kBucketMhz));
 }
 
 void SaturationDetector::UpdatePerfCap(AppState* state) {
@@ -22,7 +45,7 @@ void SaturationDetector::UpdatePerfCap(AppState* state) {
   for (const auto& [bucket, ips] : state->ips_by_bucket) {
     if (ips > best_ips) {
       best_ips = ips;
-      best_mhz = bucket * params_.bucket_mhz;
+      best_mhz = bucket * kBucketMhz;
     }
   }
   if (best_ips <= Ips{0.0}) {
@@ -31,17 +54,17 @@ void SaturationDetector::UpdatePerfCap(AppState* state) {
   }
   // Useful max: the lowest observed frequency keeping (1 - budget) of the
   // anchor IPS.
-  const Ips floor_ips{(1.0 - params_.perf_loss_budget) * best_ips};
+  const Ips floor_ips{(1.0 - kPerfLossBudget) * best_ips};
   Mhz cap{best_mhz};
   for (const auto& [bucket, ips] : state->ips_by_bucket) {
-    const Mhz f{bucket * params_.bucket_mhz};
+    const Mhz f{bucket * kBucketMhz};
     if (f < cap && ips >= floor_ips) {
       cap = f;
     }
   }
   Mhz candidate{0.0};
   // Only worth declaring if it saves a meaningful slice of frequency.
-  if (best_mhz - cap >= params_.min_saving_mhz) {
+  if (best_mhz - cap >= kMinSavingMhz) {
     candidate = std::max(cap, platform_.min_mhz);
   }
   // Hysteresis: once capped, the app runs *at* the cap, so only the cap
@@ -50,7 +73,7 @@ void SaturationDetector::UpdatePerfCap(AppState* state) {
   // relaxed floor.
   if (state->perf_cap_mhz > Mhz{0.0} && (candidate == Mhz{0.0} || candidate > state->perf_cap_mhz)) {
     const auto it = state->ips_by_bucket.find(BucketOf(state->perf_cap_mhz));
-    const Ips keep_floor{(1.0 - params_.perf_loss_budget - params_.clear_hysteresis) * best_ips};
+    const Ips keep_floor{(1.0 - kPerfLossBudget - kClearHysteresis) * best_ips};
     if (it != state->ips_by_bucket.end() && it->second >= keep_floor) {
       return;  // Keep the existing cap.
     }
@@ -89,10 +112,10 @@ void SaturationDetector::Observe(const std::vector<ManagedApp>& apps,
     // app-specific refusal (AVX cap) leaves this app well below its peers.
     const double ratio = core.active_mhz / requested[i];
     const bool app_specific_gap =
-        best_ratio > 0.0 && ratio < params_.grant_ratio * best_ratio;
+        best_ratio > 0.0 && ratio < kGrantRatio * best_ratio;
     if (app_specific_gap) {
       state.gap_streak++;
-      if (state.gap_streak >= params_.grant_periods) {
+      if (state.gap_streak >= kGrantPeriods) {
         // Round up to the grid so the cap never under-grants.
         const double steps = std::ceil(core.active_mhz / platform_.step_mhz - 1e-9);
         state.gap_cap_mhz = std::min(platform_.max_mhz, steps * platform_.step_mhz);
@@ -111,7 +134,7 @@ void SaturationDetector::Observe(const std::vector<ManagedApp>& apps,
     const int bucket = BucketOf(core.active_mhz);
     auto [it, inserted] = state.ips_by_bucket.emplace(bucket, core.ips);
     if (!inserted) {
-      it->second += params_.ewma_alpha * (core.ips - it->second);
+      it->second += kEwmaAlpha * (core.ips - it->second);
     }
     UpdatePerfCap(&state);
   }
@@ -120,7 +143,7 @@ void SaturationDetector::Observe(const std::vector<ManagedApp>& apps,
 std::vector<Mhz> SaturationDetector::ApplyProbes(const std::vector<ManagedApp>& apps,
                                                  const std::vector<Mhz>& targets) {
   probe_app_ = -1;
-  if (params_.probe_interval <= 0 || periods_ % params_.probe_interval != 0) {
+  if (periods_ % kProbeInterval != 0) {
     return targets;
   }
   // Round-robin over apps; probe the first with unexplored curve below its
@@ -130,7 +153,7 @@ std::vector<Mhz> SaturationDetector::ApplyProbes(const std::vector<ManagedApp>& 
   std::vector<Mhz> out = targets;
   const size_t n = apps.size();
   for (size_t k = 0; k < n; k++) {
-    const size_t i = (static_cast<size_t>(periods_) / params_.probe_interval + k) % n;
+    const size_t i = (static_cast<size_t>(periods_) / kProbeInterval + k) % n;
     if (i >= targets.size() || targets[i] <= Mhz{0.0}) {
       continue;  // Stopped app.
     }
@@ -142,17 +165,17 @@ std::vector<Mhz> SaturationDetector::ApplyProbes(const std::vector<ManagedApp>& 
                          : targets[i];
     Mhz probe;
     if (state.ips_by_bucket.empty()) {
-      probe = base - params_.probe_step_mhz;
+      probe = base - kProbeStepMhz;
     } else {
       Ips best_ips{0.0};
       for (const auto& [bucket, ips] : state.ips_by_bucket) {
         best_ips = std::max(best_ips, ips);
       }
       const auto lowest = state.ips_by_bucket.begin();
-      if (lowest->second < (1.0 - params_.perf_loss_budget) * best_ips) {
+      if (lowest->second < (1.0 - kPerfLossBudget) * best_ips) {
         continue;  // Curve mapped past the knee; nothing left to learn.
       }
-      probe = lowest->first * params_.bucket_mhz - params_.probe_step_mhz;
+      probe = lowest->first * kBucketMhz - kProbeStepMhz;
     }
     if (probe < platform_.min_mhz || probe >= base ||
         state.ips_by_bucket.count(BucketOf(probe)) != 0) {

@@ -45,33 +45,9 @@ namespace papd {
 
 class SaturationDetector {
  public:
-  struct Params {
-    // Rule 1: an app whose active/requested ratio falls below this
-    // fraction of the *best* ratio any app achieves has an app-specific
-    // refusal.  Turbo-ladder gaps are shallow (~0.93 of best); AVX caps are
-    // deep (~0.6), so 0.85 separates them.
-    double grant_ratio = 0.85;
-    // ...for this many consecutive periods.
-    int grant_periods = 3;
-    // Rule 2: allowed performance loss at the useful max.
-    double perf_loss_budget = 0.08;
-    // Rule 2: extra loss tolerated before an established cap is dropped
-    // (phase noise moves bucket EWMAs by a few percent).
-    double clear_hysteresis = 0.04;
-    // Rule 2: minimum frequency saving for a cap to be worth declaring.
-    Mhz min_saving_mhz{400.0};
-    // IPS EWMA smoothing per bucket.
-    double ewma_alpha = 0.30;
-    // Frequency bucket width.
-    Mhz bucket_mhz{200.0};
-    // Probe one app every this many Observe() calls.
-    int probe_interval = 4;
-    // Probe this far below the app's current operating frequency.
-    Mhz probe_step_mhz{500.0};
-  };
-
+  // The detection thresholds, EWMA smoothing and probe cadence are
+  // constants in hwp.cc.
   SaturationDetector(PolicyPlatform platform, size_t num_apps);
-  SaturationDetector(PolicyPlatform platform, size_t num_apps, Params params);
 
   // Feeds one control period's telemetry.  `requested` is the frequency the
   // daemon actually programmed for each app this period (including any
@@ -105,7 +81,6 @@ class SaturationDetector {
   void UpdatePerfCap(AppState* state);
 
   PolicyPlatform platform_;
-  Params params_;
   std::vector<AppState> apps_;
   int periods_ = 0;
   int probe_app_ = -1;  // App probed this period; -1 = none.

@@ -14,6 +14,25 @@
 namespace papd {
 namespace {
 
+// Package power must be beyond the limit by more than this before the
+// directional budget-conservation check applies; must exceed the policies'
+// own control deadband (kPowerToleranceW) or legitimate within-deadband
+// no-ops would be flagged.
+constexpr Watts kConservationDeadbandW{1.0};
+// Relative slack for floating-point comparisons.
+constexpr double kEpsilon = 1e-6;
+// --- Power ceiling (CheckPowerCeiling) ---------------------------------------
+// Package power may exceed the limit by at most this much once converged.
+// Covers RAPL quantization, EWMA smoothing and the sim's power-model
+// transients; fault schedules that defeat degradation blow well past it.
+constexpr Watts kPowerCeilingSlackW{8.0};
+// Control periods ignored after Start()/SetPowerLimit before the ceiling is
+// enforced — the control loop needs time to converge on a new budget.
+constexpr int kPowerCeilingGracePeriods = 20;
+// Consecutive over-ceiling periods (past grace) before failing; a single
+// workload-phase spike the controller corrects is not a violation.
+constexpr int kPowerCeilingPatience = 6;
+
 // An app with a detected highest-useful-frequency cap (HWP hints, paper
 // Section 4.4) legitimately breaks pairwise ordering: min-funding
 // revocation hands its excess to apps that can still use it.
@@ -79,7 +98,7 @@ void PolicyAuditor::CheckTargetsWellFormed(const char* stage,
     Fail(stage, os.str());
     return;
   }
-  const Mhz tol = options_.epsilon * platform_.max_mhz;
+  const Mhz tol = kEpsilon * platform_.max_mhz;
   for (size_t i = 0; i < targets.size(); i++) {
     const Mhz t{targets[i]};
     if (allow_stopped && IsStopped(t)) {
@@ -113,7 +132,7 @@ void PolicyAuditor::CheckShareMonotonicity(const char* stage,
   if (view.domain == nullptr || view.values.size() != apps.size()) {
     return;
   }
-  const double tol = options_.epsilon * std::max(1.0, view.scale);
+  const double tol = kEpsilon * std::max(1.0, view.scale);
   for (size_t i = 0; i < apps.size(); i++) {
     if (HasUsefulMaxCap(apps[i])) {
       continue;
@@ -156,7 +175,7 @@ void PolicyAuditor::CheckInitialDistribution(const ShareResource* policy,
     for (double w : view.values) {
       sum += w;
     }
-    if (sum > budget + options_.epsilon * std::max(1.0, budget)) {
+    if (sum > budget + kEpsilon * std::max(1.0, budget)) {
       std::ostringstream os;
       os << " power conservation broken: initial power targets sum to " << sum
          << " W but the core budget under the " << limit_w << " W limit is " << budget
@@ -183,7 +202,7 @@ void PolicyAuditor::CheckRedistribution(const ShareResource* policy,
   // total native allocation — growing it would push power further past the
   // limit and the control loop would diverge.
   if (view.domain != nullptr && prev_native_.size() == view.values.size() &&
-      sample.pkg_w > limit_w + options_.conservation_deadband_w) {
+      sample.pkg_w > limit_w + kConservationDeadbandW) {
     double prev_sum = 0.0;
     double new_sum = 0.0;
     for (size_t i = 0; i < view.values.size(); i++) {
@@ -191,7 +210,7 @@ void PolicyAuditor::CheckRedistribution(const ShareResource* policy,
       new_sum += view.values[i];
     }
     const double tol =
-        options_.epsilon * std::max(1.0, prev_native_scale_) *
+        kEpsilon * std::max(1.0, prev_native_scale_) *
         static_cast<double>(view.values.size());
     if (new_sum > prev_sum + tol) {
       std::ostringstream os;
@@ -217,7 +236,7 @@ void PolicyAuditor::CheckPriorityInitialDistribution(const PriorityPolicy::Optio
   if (targets.size() != apps.size()) {
     return;
   }
-  const Mhz tol = options_.epsilon * platform_.max_mhz;
+  const Mhz tol = kEpsilon * platform_.max_mhz;
   for (size_t i = 0; i < apps.size(); i++) {
     if (apps[i].high_priority) {
       const Mhz ceiling{AppMaxMhz(apps[i], platform_)};
@@ -254,7 +273,7 @@ void PolicyAuditor::CheckPriorityRedistribution(const PriorityPolicy::Options& o
   if (targets.size() != apps.size()) {
     return;
   }
-  const Mhz tol = options_.epsilon * platform_.max_mhz;
+  const Mhz tol = kEpsilon * platform_.max_mhz;
   for (size_t i = 0; i < apps.size(); i++) {
     if (!IsStopped(targets[i])) {
       continue;
@@ -295,7 +314,7 @@ void PolicyAuditor::CheckPriorityRedistribution(const PriorityPolicy::Options& o
 
   // Directional budget conservation, counting only running apps.
   if (prev_priority_.size() == targets.size() &&
-      sample.pkg_w > limit_w + options_.conservation_deadband_w) {
+      sample.pkg_w > limit_w + kConservationDeadbandW) {
     const Mhz prev_sum{RunningSum(prev_priority_)};
     const Mhz new_sum{RunningSum(targets)};
     const Mhz stage_tol{tol * static_cast<double>(targets.size())};
@@ -311,7 +330,7 @@ void PolicyAuditor::CheckPriorityRedistribution(const PriorityPolicy::Options& o
 }
 
 void PolicyAuditor::CheckTranslation(const std::vector<Mhz>& programmed_mhz) {
-  const Mhz tol = options_.epsilon * platform_.max_mhz;
+  const Mhz tol = kEpsilon * platform_.max_mhz;
   std::vector<long> distinct;
   for (size_t i = 0; i < programmed_mhz.size(); i++) {
     const Mhz f{programmed_mhz[i]};
@@ -354,14 +373,14 @@ void PolicyAuditor::CheckPowerCeiling(const TelemetrySample& sample, Watts limit
   if (limit_w != ceiling_limit_w_) {
     // New (or first) budget: restart the convergence grace window.
     ceiling_limit_w_ = limit_w;
-    ceiling_grace_left_ = options_.power_ceiling_grace_periods;
+    ceiling_grace_left_ = kPowerCeilingGracePeriods;
     ceiling_over_streak_ = 0;
   }
   if (ceiling_grace_left_ > 0) {
     ceiling_grace_left_--;
     return;
   }
-  const Watts ceiling_w{limit_w + options_.power_ceiling_slack_w};
+  const Watts ceiling_w{limit_w + kPowerCeilingSlackW};
   if (sample.pkg_w <= ceiling_w) {
     ceiling_over_streak_ = 0;
     return;
@@ -369,7 +388,7 @@ void PolicyAuditor::CheckPowerCeiling(const TelemetrySample& sample, Watts limit
   // Floor saturation: every running core already at the platform minimum
   // means the limit is unreachable for this workload; frequency scaling has
   // no correction left to apply, so over-limit power is not a policy bug.
-  const Mhz tol = options_.epsilon * platform_.max_mhz;
+  const Mhz tol = kEpsilon * platform_.max_mhz;
   bool all_at_floor = true;
   for (Mhz t : targets) {
     if (!IsStopped(t) && t > platform_.min_mhz + tol) {
@@ -381,10 +400,10 @@ void PolicyAuditor::CheckPowerCeiling(const TelemetrySample& sample, Watts limit
     return;
   }
   ceiling_over_streak_++;
-  if (ceiling_over_streak_ >= options_.power_ceiling_patience) {
+  if (ceiling_over_streak_ >= kPowerCeilingPatience) {
     std::ostringstream os;
     os << " package power " << sample.pkg_w << " W above the ceiling " << ceiling_w
-       << " W (limit " << limit_w << " W + slack " << options_.power_ceiling_slack_w
+       << " W (limit " << limit_w << " W + slack " << kPowerCeilingSlackW
        << " W) for " << ceiling_over_streak_ << " consecutive periods";
     Fail("power-ceiling", os.str());
     ceiling_over_streak_ = 0;

@@ -48,26 +48,9 @@ namespace papd {
 struct AuditOptions {
   // Fatal: a violation aborts with a formatted CHECK failure.  Non-fatal:
   // violations are recorded (and logged as errors) for later inspection —
-  // the mode negative tests use.
+  // the mode negative tests use.  The tolerances, deadbands and power-
+  // ceiling timing are constants in invariants.cc.
   bool fatal = true;
-  // Package power must be beyond the limit by more than this before the
-  // directional budget-conservation check applies; must exceed the
-  // policies' own control deadband (kPowerToleranceW) or legitimate
-  // within-deadband no-ops would be flagged.
-  Watts conservation_deadband_w{1.0};
-  // Relative slack for floating-point comparisons.
-  double epsilon = 1e-6;
-  // --- Power ceiling (CheckPowerCeiling) -------------------------------------
-  // Package power may exceed the limit by at most this much once converged.
-  // Covers RAPL quantization, EWMA smoothing and the sim's power-model
-  // transients; fault schedules that defeat degradation blow well past it.
-  Watts power_ceiling_slack_w{8.0};
-  // Control periods ignored after Start()/SetPowerLimit before the ceiling
-  // is enforced — the control loop needs time to converge on a new budget.
-  int power_ceiling_grace_periods = 20;
-  // Consecutive over-ceiling periods (past grace) before failing; a single
-  // workload-phase spike the controller corrects is not a violation.
-  int power_ceiling_patience = 6;
 };
 
 class PolicyAuditor {
@@ -105,9 +88,8 @@ class PolicyAuditor {
 
   // --- Power ceiling ---------------------------------------------------------
   // Called by the daemon once per valid-sample control period for actively
-  // controlling policies: package power must not sit above
-  // limit_w + power_ceiling_slack_w for power_ceiling_patience consecutive
-  // periods once power_ceiling_grace_periods have elapsed since the limit
+  // controlling policies: package power must not sit above limit_w + 8 W
+  // for 6 consecutive periods once 20 periods have elapsed since the limit
   // was (re)set.  Escape hatch: when every running target is already at the
   // platform floor the policy has no actuation left (the limit is simply
   // unreachable) and the period is not counted.  Invalid samples must not

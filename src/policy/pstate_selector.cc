@@ -1,10 +1,11 @@
 #include "src/policy/pstate_selector.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <numeric>
+
+#include "src/common/check.h"
 
 namespace papd {
 
@@ -14,7 +15,7 @@ PStateSelection SelectPStates(const std::vector<Mhz>& targets, int k, Mhz step_m
   if (n == 0) {
     return out;
   }
-  assert(k >= 1);
+  PAPD_CHECK_GE(k, 1);
 
   // Sort indices by target.
   std::vector<size_t> order(n);

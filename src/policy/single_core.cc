@@ -1,15 +1,16 @@
 #include "src/policy/single_core.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
+
+#include "src/common/check.h"
 
 namespace papd {
 
 SingleCoreSharing::SingleCoreSharing(PolicyPlatform platform, std::vector<Member> members)
     : platform_(platform), members_(std::move(members)), freq_mhz_(platform_.max_mhz) {
-  assert(!members_.empty());
+  PAPD_CHECK(!members_.empty());
 }
 
 SingleCoreSharing::Scenario SingleCoreSharing::ClassifyScenario() const {

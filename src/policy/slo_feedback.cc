@@ -5,38 +5,41 @@
 #include "src/common/check.h"
 
 namespace papd {
+namespace {
+
+// Multiplicative step per control period; bounds how fast shares move.
+constexpr double kStep = 0.25;
+// Release rate once a subtree is back under the SLO (see the header note on
+// why the release must be slower than the attack).
+constexpr double kDecay = 0.0625;
+// Hysteresis thresholds on the subtree violating-leaf fraction.
+constexpr double kEnterFraction = 0.5;
+constexpr double kExitFraction = 0.25;
+
+}  // namespace
 
 SloFeedbackArbiter::SloFeedbackArbiter(SloFeedbackOptions options) : options_(options) {
-  PAPD_CHECK_GT(options_.step, 0.0);
-  PAPD_CHECK_GT(options_.decay, 0.0);
-  PAPD_CHECK_GT(options_.min_bias, 0.0);
-  PAPD_CHECK_LE(options_.min_bias, 1.0);
   PAPD_CHECK_GE(options_.max_bias, 1.0);
-  PAPD_CHECK_GE(options_.enter_fraction, options_.exit_fraction);
 }
 
 void SloFeedbackArbiter::Resize(size_t nodes) { bias_.assign(nodes, 1.0); }
 
 int SloFeedbackArbiter::Update(const std::vector<double>& violation_fraction) {
   PAPD_CHECK_EQ(violation_fraction.size(), bias_.size());
-  const double up = 1.0 + options_.step;
-  const double down = 1.0 + options_.decay;
+  const double up = 1.0 + kStep;
+  const double down = 1.0 + kDecay;
   int moved = 0;
   for (size_t i = 0; i < bias_.size(); i++) {
     const double frac = violation_fraction[i];
     const double before = bias_[i];
-    if (frac >= options_.enter_fraction) {
+    if (frac >= kEnterFraction) {
       bias_[i] = std::min(before * up, options_.max_bias);
-    } else if (frac <= options_.exit_fraction) {
-      // Decay toward neutral from either side; land exactly on 1.0 so a
-      // recovered shard's shares return to their configured value.
-      if (before > 1.0) {
-        bias_[i] = std::max(before / down, 1.0);
-      } else if (before < 1.0) {
-        bias_[i] = std::min(before * down, 1.0);
-      }
+    } else if (frac <= kExitFraction && before > 1.0) {
+      // Release toward neutral; land exactly on 1.0 so a recovered shard's
+      // shares return to their configured value.
+      bias_[i] = std::max(before / down, 1.0);
     }
-    // Inside (exit_fraction, enter_fraction): hold — the hysteresis band.
+    // Inside (kExitFraction, kEnterFraction): hold — the hysteresis band.
     if (bias_[i] != before) {
       moved++;
     }

@@ -13,11 +13,15 @@
 // subtree leaves whose windowed p90 latency violated the SLO; the arbiter
 // nudges the node's bias by a bounded multiplicative step:
 //
-//   - fraction >= enter_fraction : bias *= (1 + step)   (boost, up to max)
-//   - fraction <= exit_fraction  : bias decays toward 1 by (1 + decay)
-//   - in between                 : bias holds (hysteresis dead band)
+//   - fraction >= 0.5  : bias *= 1.25             (boost, up to max_bias)
+//   - fraction <= 0.25 : bias /= 1.0625, to >= 1  (release toward neutral)
+//   - in between       : bias holds (hysteresis dead band)
 //
-// The attack/release asymmetry (decay < step) matters at the leaves, where
+// Biases start at 1.0 and never go below it: the arbiter only ever boosts a
+// violating subtree, it never takes share from an idle one.  The step, the
+// release rate and the band edges are constants in slo_feedback.cc.
+//
+// The attack/release asymmetry (release < step) matters at the leaves, where
 // the violating fraction is binary and the dead band can never hold: a
 // shard that recovers only because its bias boosted it would, under
 // symmetric decay, shed the boost as fast as it gained it and flap between
@@ -32,8 +36,8 @@
 // auditing is on.
 //
 // Bounded step + hysteresis give the loop its stability properties: a
-// persistent violator converges to max_bias in O(log(max_bias)/step)
-// periods and stays; a recovered shard decays back to exactly 1.0 and
+// persistent violator converges to max_bias in
+// ceil(log(max_bias) / log(1.25)) periods and stays; a recovered shard decays back to exactly 1.0 and
 // stays; a shard oscillating inside the dead band does not flap.
 
 #ifndef SRC_POLICY_SLO_FEEDBACK_H_
@@ -49,18 +53,8 @@ namespace papd {
 struct SloFeedbackOptions {
   // The p90 response-time SLO each shard is held to.
   Seconds slo_p90{0.050};
-  // Multiplicative step per control period; bounds how fast shares move.
-  double step = 0.25;
-  // Release rate once a subtree is back under the SLO (see header note on
-  // why the release must be slower than the attack).
-  double decay = 0.0625;
-  // Bias clamp range.  min_bias < 1 lets chronically idle subtrees shed
-  // proportion; 1.0 means biases only ever boost.
-  double min_bias = 1.0;
+  // Upper clamp of every bias; >= 1.
   double max_bias = 4.0;
-  // Hysteresis thresholds on the subtree violating-leaf fraction.
-  double enter_fraction = 0.5;
-  double exit_fraction = 0.25;
 };
 
 class SloFeedbackArbiter {

@@ -1,24 +1,11 @@
 #include "src/specsim/core_work.h"
 
-#include <algorithm>
-
 namespace papd {
-
-// Run and RunBatch are mutual defaults: a subclass overrides at least one
-// (see the header contract).  Neither default is marked PAPD_HOT — a work
-// that reaches the allocating bridge has opted out of the zero-alloc tick.
 
 WorkSlice CoreWork::Run(Seconds dt, Mhz freq_mhz) {
   WorkSlice slice;
   RunBatch(dt, &freq_mhz, &slice, 1);
   return slice;
-}
-
-void CoreWork::RunBatch(Seconds dt, const Mhz* freqs_mhz, WorkSlice* out_slices,
-                        int n) {
-  for (int k = 0; k < n; ++k) {
-    out_slices[k] = Run(dt, freqs_mhz[k]);
-  }
 }
 
 int CoreWork::SteadyTicks(Seconds /*dt*/) const { return 0; }
@@ -28,20 +15,6 @@ void CoreWork::RunSteadyBatch(Seconds dt, int k, Mhz freq_mhz,
   for (int step = 0; step < k; ++step) {
     RunBatch(dt, &freq_mhz, last_slice, 1);
   }
-}
-
-std::vector<WorkSlice> MultiCoreWork::Run(Seconds dt,
-                                          const std::vector<Mhz>& freqs_mhz) {
-  std::vector<WorkSlice> slices(freqs_mhz.size());
-  RunBatch(dt, freqs_mhz.data(), slices.data(), freqs_mhz.size());
-  return slices;
-}
-
-void MultiCoreWork::RunBatch(Seconds dt, const Mhz* freqs_mhz,
-                             WorkSlice* out_slices, size_t n) {
-  shim_freqs_.assign(freqs_mhz, freqs_mhz + n);
-  std::vector<WorkSlice> slices = Run(dt, shim_freqs_);
-  std::copy(slices.begin(), slices.end(), out_slices);
 }
 
 }  // namespace papd

@@ -12,13 +12,12 @@
 // frequencies of all its cores, passed as spans of the package's per-core
 // arrays.
 //
-// Both interfaces offer two entry points: the legacy per-call `Run` and the
-// span-based `RunBatch` used by the package tick engine.  Each has a default
-// implementation in terms of the other, so subclasses override whichever is
-// natural — but MUST override at least one or the pair recurses forever
-// (same contract as std::streambuf's overflow/xsputn pairing).  In-tree
-// workloads override RunBatch so the steady-state tick is allocation-free;
-// out-of-tree subclasses that only override Run keep compiling and working.
+// Every work implements the span-based `RunBatch`, the one entry point the
+// package tick engine calls; its out-params keep the steady-state tick
+// allocation-free.  CoreWork also keeps `Run`, a single-slice convenience
+// that forwards to RunBatch with n == 1.  It is still virtual only because
+// perfbench's TimedWork overrides it; it becomes non-virtual (or goes) when
+// perfbench next changes.
 
 #ifndef SRC_SPECSIM_CORE_WORK_H_
 #define SRC_SPECSIM_CORE_WORK_H_
@@ -49,16 +48,16 @@ class CoreWork {
   virtual ~CoreWork() = default;
 
   // Advances the workload by dt seconds with the core running at freq_mhz.
-  // Default implementation forwards to RunBatch with n == 1.
+  // Forwards to RunBatch with n == 1.
   virtual WorkSlice Run(Seconds dt, Mhz freq_mhz);
 
   // Advances the workload through n consecutive slices of dt seconds each;
   // freqs_mhz[k] is the core's effective frequency during slice k and
   // out_slices[k] receives that slice's results.  The package tick engine
   // issues n == 1 calls on this path; larger spans let offline drivers batch
-  // ticks between control actions.  Default implementation loops Run.
+  // ticks between control actions.
   virtual void RunBatch(Seconds dt, const Mhz* freqs_mhz, WorkSlice* out_slices,
-                        int n);
+                        int n) = 0;
 
   // True if the workload executes enough AVX code to be subject to the
   // platform's AVX frequency caps.  Must be invariant while the work is
@@ -96,29 +95,15 @@ class MultiCoreWork {
   virtual const std::vector<int>& Cores() const = 0;
 
   // Advances by dt with freqs_mhz[i] the effective frequency of Cores()[i]
-  // (0 MHz for an offline core).
-  // Returns one slice per core, in Cores() order.  Default implementation
-  // forwards to RunBatch (allocating the return vector; the tick engine
-  // never takes this path for works that override RunBatch).
-  virtual std::vector<WorkSlice> Run(Seconds dt,
-                                     const std::vector<Mhz>& freqs_mhz);
-
-  // Span form of Run: freqs_mhz[i] / out_slices[i] correspond to Cores()[i]
-  // and n must equal Cores().size().  Default implementation copies the
-  // span into scratch and forwards to the legacy Run (allocating only for
-  // out-of-tree subclasses that haven't overridden this).
+  // (0 MHz for an offline core); out_slices[i] receives that core's slice.
+  // n must equal Cores().size().
   virtual void RunBatch(Seconds dt, const Mhz* freqs_mhz, WorkSlice* out_slices,
-                        size_t n);
+                        size_t n) = 0;
 
   // Must be invariant while attached to a Package (cached at attach time).
   virtual bool UsesAvx() const = 0;
 
   virtual std::string Name() const = 0;
-
- private:
-  // Scratch for the default RunBatch -> Run bridge; unused when RunBatch is
-  // overridden.
-  std::vector<Mhz> shim_freqs_;
 };
 
 }  // namespace papd

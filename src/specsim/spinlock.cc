@@ -1,14 +1,30 @@
 #include "src/specsim/spinlock.h"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 
-namespace papd {
+#include "src/common/check.h"
 
-SpinLockWork::SpinLockWork(std::vector<int> cores, Params params)
-    : cores_(std::move(cores)), params_(params) {
-  assert(!cores_.empty());
+namespace papd {
+namespace {
+
+// Cycles of uncontended local work per iteration.
+constexpr double kLocalCycles = 40000.0;
+// Cycles holding the global lock per iteration.
+constexpr double kCriticalCycles = 20000.0;
+// Retired instructions per cycle in local/critical code.
+constexpr double kIpc = 1.0;
+// Retired instructions per cycle while spin-waiting (pause loops retire
+// fast).
+constexpr double kSpinIpc = 1.0;
+// Dynamic-power activity while working / spinning.
+constexpr double kActivity = 1.0;
+constexpr double kSpinActivity = 0.8;
+
+}  // namespace
+
+SpinLockWork::SpinLockWork(std::vector<int> cores) : cores_(std::move(cores)) {
+  PAPD_CHECK(!cores_.empty());
   threads_.resize(cores_.size());
   iterations_.assign(cores_.size(), 0.0);
   wait_ring_.assign(cores_.size(), 0);
@@ -16,18 +32,18 @@ SpinLockWork::SpinLockWork(std::vector<int> cores, Params params)
   scratch_spin_cycles_.assign(cores_.size(), 0.0);
   for (Thread& t : threads_) {
     t.phase = Phase::kLocal;
-    t.remaining_cycles = params_.local_cycles;
+    t.remaining_cycles = kLocalCycles;
   }
 }
 
 void SpinLockWork::WaitQueuePush(size_t thread) {
-  assert(wait_count_ < wait_ring_.size());
+  PAPD_DCHECK_LT(wait_count_, wait_ring_.size());
   wait_ring_[(wait_head_ + wait_count_) % wait_ring_.size()] = thread;
   wait_count_++;
 }
 
 size_t SpinLockWork::WaitQueuePop() {
-  assert(wait_count_ > 0);
+  PAPD_DCHECK_GT(wait_count_, 0u);
   const size_t thread = wait_ring_[wait_head_];
   wait_head_ = (wait_head_ + 1) % wait_ring_.size();
   wait_count_--;
@@ -37,7 +53,7 @@ size_t SpinLockWork::WaitQueuePop() {
 // PAPD_HOT
 void SpinLockWork::RunBatch(Seconds dt, const Mhz* freqs_mhz,
                             WorkSlice* out_slices, size_t n) {
-  assert(n == cores_.size());
+  PAPD_DCHECK_EQ(n, cores_.size());
 
   // Per-slice accounting.
   double* work_cycles = scratch_work_cycles_.data();
@@ -85,7 +101,7 @@ void SpinLockWork::RunBatch(Seconds dt, const Mhz* freqs_mhz,
         WaitQueuePush(i);
       } else if (t.phase == Phase::kCritical && t.remaining_cycles <= 1e-9) {
         t.phase = Phase::kLocal;
-        t.remaining_cycles = params_.local_cycles;
+        t.remaining_cycles = kLocalCycles;
         iterations_[i] += 1.0;
         holder_ = -1;
       }
@@ -95,7 +111,7 @@ void SpinLockWork::RunBatch(Seconds dt, const Mhz* freqs_mhz,
       const size_t next_holder = WaitQueuePop();
       holder_ = static_cast<int>(next_holder);
       threads_[next_holder].phase = Phase::kCritical;
-      threads_[next_holder].remaining_cycles = params_.critical_cycles;
+      threads_[next_holder].remaining_cycles = kCriticalCycles;
     }
   }
 
@@ -103,12 +119,11 @@ void SpinLockWork::RunBatch(Seconds dt, const Mhz* freqs_mhz,
     const double total = work_cycles[i] + spin_cycles[i];
     const double capacity = freqs_mhz[i] * kHzPerMhz * dt;
     WorkSlice& s = out_slices[i];
-    s.instructions = work_cycles[i] * params_.ipc + spin_cycles[i] * params_.spin_ipc;
+    s.instructions = work_cycles[i] * kIpc + spin_cycles[i] * kSpinIpc;
     s.busy_fraction = capacity > 0.0 ? std::min(1.0, total / capacity) : 0.0;
     s.activity = 0.0;
     if (total > 0.0) {
-      s.activity = (params_.activity * work_cycles[i] + params_.spin_activity * spin_cycles[i]) /
-                   total;
+      s.activity = (kActivity * work_cycles[i] + kSpinActivity * spin_cycles[i]) / total;
     }
     s.avx_fraction = 0.0;
   }

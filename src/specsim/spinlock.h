@@ -36,22 +36,10 @@ namespace papd {
 
 class SpinLockWork : public MultiCoreWork {
  public:
-  struct Params {
-    // Cycles of uncontended local work per iteration.
-    double local_cycles = 40000.0;
-    // Cycles holding the global lock per iteration.
-    double critical_cycles = 20000.0;
-    // Retired instructions per cycle in local/critical code.
-    double ipc = 1.0;
-    // Retired instructions per cycle while spin-waiting (pause loops retire
-    // fast).
-    double spin_ipc = 1.0;
-    // Dynamic-power activity while working / spinning.
-    double activity = 1.0;
-    double spin_activity = 0.8;
-  };
-
-  SpinLockWork(std::vector<int> cores, Params params);
+  // One thread per core.  The iteration shape (w = 40000 local cycles,
+  // h = 20000 critical cycles) and the IPC/activity of working and spinning
+  // code are constants in spinlock.cc.
+  explicit SpinLockWork(std::vector<int> cores);
 
   const std::vector<int>& Cores() const override { return cores_; }
   void RunBatch(Seconds dt, const Mhz* freqs_mhz, WorkSlice* out_slices,
@@ -77,7 +65,6 @@ class SpinLockWork : public MultiCoreWork {
   size_t WaitQueuePop();
 
   std::vector<int> cores_;
-  Params params_;
   std::vector<Thread> threads_;
   std::vector<size_t> wait_ring_;  // Capacity == thread count.
   size_t wait_head_ = 0;

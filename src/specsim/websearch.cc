@@ -1,9 +1,9 @@
 #include "src/specsim/websearch.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
+#include "src/common/check.h"
 #include "src/common/stats.h"
 
 namespace papd {
@@ -14,15 +14,13 @@ const char* ArrivalShapeName(ArrivalShape shape) {
       return "constant";
     case ArrivalShape::kDiurnal:
       return "diurnal";
-    case ArrivalShape::kTrace:
-      return "trace";
   }
   return "?";
 }
 
 WebSearch::WebSearch(std::vector<int> cores, Params params, uint64_t seed)
     : cores_(std::move(cores)), params_(params), rng_(seed) {
-  assert(!cores_.empty());
+  PAPD_CHECK(!cores_.empty());
   queues_.resize(cores_.size());
   backlog_cycles_.assign(cores_.size(), 0.0);
   if (params_.open_loop.enabled) {
@@ -84,16 +82,9 @@ double WebSearch::ArrivalRateAt(Seconds t) const {
       multiplier = 1.0 + ol.diurnal_amplitude * std::sin(2.0 * M_PI * phase);
       break;
     }
-    case ArrivalShape::kTrace: {
-      if (!ol.trace.empty()) {
-        const auto step = static_cast<size_t>((t + ol.shape_phase_s) / ol.trace_step_s);
-        multiplier = ol.trace[step % ol.trace.size()];
-      }
-      break;
-    }
   }
   // Floor keeps the Poisson gap sampler finite through rate troughs
-  // (amplitude >= 1, zero trace multipliers).
+  // (amplitude >= 1).
   return std::max(mean * multiplier, 1e-9);
 }
 
@@ -115,8 +106,7 @@ void WebSearch::AdmitOpenLoopArrivals(Seconds end) {
 // amortized containers; those lines carry PAPD_HOT_ALLOW.
 void WebSearch::RunBatch(Seconds dt, const Mhz* freqs_mhz,
                          WorkSlice* out_slices, size_t n) {
-  assert(n == cores_.size());
-  (void)n;
+  PAPD_DCHECK_EQ(n, cores_.size());
   const Seconds end{now_ + dt};
 
   // Admit every request arriving in this slice.  Arrival times are

@@ -35,7 +35,6 @@ namespace papd {
 enum class ArrivalShape : uint8_t {
   kConstant = 0,  // Flat Poisson rate.
   kDiurnal,       // Sinusoidal day/night swing around the mean rate.
-  kTrace,         // Piecewise-constant multipliers replayed from a trace.
 };
 
 const char* ArrivalShapeName(ArrivalShape shape);
@@ -57,9 +56,6 @@ class WebSearch : public MultiCoreWork {
     double diurnal_amplitude = 0.5;
     Seconds diurnal_period_s{86400.0};
     Seconds shape_phase_s{0.0};
-    // kTrace: rate multipliers, one per `trace_step_s`, replayed cyclically.
-    std::vector<double> trace;
-    Seconds trace_step_s{3600.0};
     // Keep the exact arrival timestamps (tests assert bit-identical
     // sequences across thread counts); off by default — fleets run long.
     bool record_arrivals = false;

@@ -138,10 +138,10 @@ TEST(BudgetTree, BreakerTripRevokesToFloorThenRecovers) {
   EXPECT_GT(tree.grant_w(row), tree.floor_w(row) + Watts{5.0});
 }
 
+// The arbiter's stale ladder holds the last-good value for 3 periods, then
+// halves it every period toward the floor.
 TEST(BudgetTree, StaleTelemetryHoldsThenDecaysThenRecovers) {
   BudgetTreeConfig cfg = MakeCluster(Watts{320.0});
-  cfg.stale_hold_periods = 2;
-  cfg.stale_decay = 0.5;
   const int kStart = 3;
   cfg.faults = {
       {ClusterFaultKind::kTelemetryStale, "dc/row0/rack0", kStart, /*periods=*/6}};
@@ -168,19 +168,25 @@ TEST(BudgetTree, StaleTelemetryHoldsThenDecaysThenRecovers) {
   tree.Step();
   EXPECT_EQ(tree.stale_streak(rack), 2);
   EXPECT_DOUBLE_EQ(tree.reported_w(rack).value(), last_good.value());
+  tree.Step();
+  EXPECT_EQ(tree.stale_streak(rack), 3);
+  EXPECT_DOUBLE_EQ(tree.reported_w(rack).value(), last_good.value());
 
   // Decay rungs: geometric slide toward the floor.
   tree.Step();
-  EXPECT_EQ(tree.stale_streak(rack), 3);
+  EXPECT_EQ(tree.stale_streak(rack), 4);
   EXPECT_DOUBLE_EQ(tree.reported_w(rack).value(),
                    std::max(tree.floor_w(rack), last_good * 0.5).value());
   tree.Step();
+  EXPECT_EQ(tree.stale_streak(rack), 5);
   EXPECT_DOUBLE_EQ(tree.reported_w(rack).value(),
                    std::max(tree.floor_w(rack), last_good * 0.25).value());
+  tree.Step();  // Streak 6 (last stale period).
+  EXPECT_EQ(tree.stale_streak(rack), 6);
+  EXPECT_DOUBLE_EQ(tree.reported_w(rack).value(),
+                   std::max(tree.floor_w(rack), last_good * 0.125).value());
 
   // Fault window ends after period kStart+5; fresh telemetry resumes.
-  tree.Step();  // Streak 5.
-  tree.Step();  // Streak 6 (last stale period).
   tree.Step();
   EXPECT_EQ(tree.stale_streak(rack), 0);
   EXPECT_DOUBLE_EQ(tree.reported_w(rack).value(), tree.measured_w(rack).value());

@@ -291,13 +291,36 @@ TEST(FaultInjection, DroppedWritesRetryWithBackoffAndArmSafetyNet) {
   drops.write_fail_p = 1.0;
   rig.msr.EnableFaults(drops);
   daemon.SetPowerLimit(Watts{40.0});
-  rig.Run(&daemon, Seconds{15.0});
+  // Same loop as Rig::Run, also recording the periods whose program failed
+  // and the period in which the RAPL net armed.
+  std::vector<int> failed_periods;
+  int armed_period = 0;
+  {
+    Simulator sim(&rig.pkg);
+    int period = 0;
+    sim.AddPeriodic(daemon.config().period_s, [&](Seconds) {
+      const int failed_before = daemon.fault_stats().failed_programs;
+      daemon.Step();
+      period++;
+      if (daemon.fault_stats().failed_programs > failed_before) {
+        failed_periods.push_back(period);
+      }
+      if (armed_period == 0 && rig.pkg.rapl().enabled()) {
+        armed_period = period;
+      }
+    });
+    sim.Run(Seconds{20.0});
+  }
 
+  // Exponential backoff between retries, 1, 2 and then 4 periods, capped
+  // at 4: every period that does not retry is a backoff skip.
+  EXPECT_EQ(failed_periods, (std::vector<int>{1, 3, 6, 11, 16}));
   const DaemonFaultStats& stats = daemon.fault_stats();
-  EXPECT_GE(stats.failed_programs, 3);
-  EXPECT_GE(stats.backoff_skips, 3);  // Exponential backoff between retries.
-  EXPECT_GE(daemon.write_fail_streak(), 3);
-  // write_retry_limit consecutive failures: hardware takes over.
+  EXPECT_EQ(stats.failed_programs, 5);
+  EXPECT_EQ(stats.backoff_skips, 15);
+  EXPECT_EQ(daemon.write_fail_streak(), 5);
+  // The third consecutive failure arms the RAPL net: hardware takes over.
+  EXPECT_EQ(armed_period, 6);
   EXPECT_TRUE(rig.pkg.rapl().enabled());
   EXPECT_DOUBLE_EQ(rig.pkg.rapl().limit_w().value(), 40.0);
 

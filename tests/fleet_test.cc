@@ -155,14 +155,14 @@ TEST(FleetOpenLoop, DiurnalShapeModulatesArrivals) {
 
 TEST(SloFeedbackArbiter, ConvergesToMaxBiasUnderPersistentViolation) {
   SloFeedbackOptions opt;
-  opt.step = 0.25;
   opt.max_bias = 4.0;
   SloFeedbackArbiter arbiter(opt);
   arbiter.Resize(1);
 
-  // log(4) / log(1.25) = 6.2: the bias must saturate on the 7th update.
+  // The arbiter's fixed step is 25%: log(4) / log(1.25) = 6.2, so the bias
+  // must saturate on the 7th update.
   const int expected_periods =
-      static_cast<int>(std::ceil(std::log(opt.max_bias) / std::log(1.0 + opt.step)));
+      static_cast<int>(std::ceil(std::log(opt.max_bias) / std::log(1.25)));
   std::vector<double> violating{1.0};
   for (int i = 0; i < expected_periods; i++) {
     EXPECT_LT(arbiter.bias(0), opt.max_bias);
@@ -193,7 +193,7 @@ TEST(SloFeedbackArbiter, DecaysToExactlyOneAfterRecovery) {
 }
 
 TEST(SloFeedbackArbiter, ReleaseIsSlowerThanAttack) {
-  SloFeedbackArbiter arbiter;  // Defaults: step 0.25, decay 0.0625.
+  SloFeedbackArbiter arbiter;  // Step 0.25, release 0.0625.
   arbiter.Resize(1);
   std::vector<double> violating{1.0};
   std::vector<double> recovered{0.0};
@@ -209,10 +209,7 @@ TEST(SloFeedbackArbiter, ReleaseIsSlowerThanAttack) {
 }
 
 TEST(SloFeedbackArbiter, HysteresisBandHolds) {
-  SloFeedbackOptions opt;
-  opt.enter_fraction = 0.5;
-  opt.exit_fraction = 0.25;
-  SloFeedbackArbiter arbiter(opt);
+  SloFeedbackArbiter arbiter;  // Band: (0.25, 0.5).
   arbiter.Resize(1);
   arbiter.Update({1.0});
   const double boosted = arbiter.bias(0);
@@ -227,7 +224,6 @@ TEST(SloFeedbackArbiter, HysteresisBandHolds) {
 
 TEST(SloFeedbackArbiter, BiasesStayWithinConfiguredBounds) {
   SloFeedbackOptions opt;
-  opt.min_bias = 0.5;
   opt.max_bias = 3.0;
   SloFeedbackArbiter arbiter(opt);
   arbiter.Resize(3);
@@ -240,7 +236,7 @@ TEST(SloFeedbackArbiter, BiasesStayWithinConfiguredBounds) {
   for (int i = 0; i < 500; i++) {
     arbiter.Update({next(), next(), next()});
     for (size_t n = 0; n < arbiter.size(); n++) {
-      EXPECT_GE(arbiter.bias(n), opt.min_bias);
+      EXPECT_GE(arbiter.bias(n), 1.0);  // Biases only ever boost.
       EXPECT_LE(arbiter.bias(n), opt.max_bias);
     }
   }
@@ -259,7 +255,7 @@ TEST(FleetSloFeedback, CapInvariantHoldsUnderBiasedSplits) {
     fleet.Step();
     EXPECT_LE(fleet.tree().max_grant_overrun_w().value(), 1e-6) << "step " << i;
     for (int n = 0; n < fleet.tree().num_nodes(); n++) {
-      EXPECT_GE(fleet.share_bias(n), cfg.slo.min_bias);
+      EXPECT_GE(fleet.share_bias(n), 1.0);
       EXPECT_LE(fleet.share_bias(n), cfg.slo.max_bias);
     }
   }

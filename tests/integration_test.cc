@@ -373,7 +373,7 @@ TEST(SpinlockVsPolicies, SpinningCoresReportHealthyIpsWhileConvoyed) {
   const PlatformSpec spec = SkylakeXeon4114();
   Package pkg(spec);
   MsrFile msr(&pkg);
-  SpinLockWork app({0, 1, 2, 3}, SpinLockWork::Params{});
+  SpinLockWork app({0, 1, 2, 3});
   pkg.AttachMultiWork(&app);
   Process burn(GetProfile("cpuburn"), 7);
   pkg.AttachWork(4, &burn);

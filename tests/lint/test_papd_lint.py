@@ -130,6 +130,23 @@ class RawMutexTest(unittest.TestCase):
         self.assertNotIn("raw-mutex", rules_hit(findings))
 
 
+class RawAssertTest(unittest.TestCase):
+    def test_assert_calls_under_src_flagged(self):
+        findings = lint_tree({"src/policy/a.cc": "raw_assert_bad.txt"})
+        lines = [f.line for f in findings if f.rule == "raw-assert"]
+        # Both calls; not static_assert, the comment or the string.
+        self.assertEqual(lines, [6, 7])
+
+    def test_outside_src_is_exempt(self):
+        findings = lint_tree({"tests/a_test.cc": "raw_assert_bad.txt"})
+        self.assertNotIn("raw-assert", rules_hit(findings))
+
+    def test_suppression_comment_waives_the_line(self):
+        text = "void F(int x) { assert(x); }  // papd-lint: allow(raw-assert)\n"
+        findings = lint_tree({"src/a.cc": text})
+        self.assertNotIn("raw-assert", rules_hit(findings))
+
+
 class TraceSideEffectTest(unittest.TestCase):
     def test_mutating_args_flagged(self):
         findings = lint_tree({"src/a.cc": "trace_side_effect_bad.txt"})

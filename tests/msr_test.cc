@@ -86,6 +86,15 @@ TEST(MsrRyzen, DirectPerfCtlFaults) {
   EXPECT_DEATH(msr.WritePerfTargetMhz(0, Mhz{2000}), "GP");
 }
 
+TEST(MsrRyzenDeathTest, SelectorBeyondDefinedSlotsFaults) {
+  // The select field is three bits wide but only three slots are defined:
+  // selectors 3..7 raise #GP rather than reading past the definitions.
+  Package pkg(Ryzen1700X());
+  MsrFile msr(&pkg);
+  EXPECT_DEATH(msr.SelectPstate(0, 3), "GP");
+  EXPECT_DEATH(msr.SelectPstate(0, 7), "GP");
+}
+
 TEST(MsrRyzen, PstateDefAndSelect) {
   Package pkg(Ryzen1700X());
   MsrFile msr(&pkg);

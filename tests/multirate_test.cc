@@ -115,8 +115,7 @@ TEST_P(MultiRateResync, EventForcesFullTickImmediately) {
 // The shared SpinLockWork used by the multi-attach case must outlive the
 // replica's package; keep it per-test-invocation static-free via a holder.
 struct SpinHolder {
-  SpinLockWork::Params params;
-  SpinLockWork work{{7, 8}, params};
+  SpinLockWork work{{7, 8}};
 };
 
 INSTANTIATE_TEST_SUITE_P(

@@ -296,9 +296,10 @@ TEST(Package, MultiWorkMembersCountForTurboCensus) {
    public:
     Fixed() : cores_{0, 1, 2, 3, 4, 5, 6, 7, 8} {}
     const std::vector<int>& Cores() const override { return cores_; }
-    std::vector<WorkSlice> Run(Seconds, const std::vector<Mhz>&) override {
-      return std::vector<WorkSlice>(
-          9, WorkSlice{.instructions = 1, .busy_fraction = 1.0, .activity = 1.0});
+    void RunBatch(Seconds, const Mhz*, WorkSlice* out, size_t n) override {
+      for (size_t j = 0; j < n; j++) {
+        out[j] = WorkSlice{.instructions = 1, .busy_fraction = 1.0, .activity = 1.0};
+      }
     }
     bool UsesAvx() const override { return false; }
     std::string Name() const override { return "fixed"; }

@@ -535,8 +535,7 @@ TEST(SoaEquivalence, SteadyStateTickIsAllocationFree) {
   // Spinlock multi-core work: the batch path must also be allocation-free.
   {
     Package pkg(SkylakeXeon4114());
-    SpinLockWork::Params params;
-    SpinLockWork spin({0, 1, 2, 3}, params);
+    SpinLockWork spin({0, 1, 2, 3});
     pkg.AttachMultiWork(&spin);
     for (int t = 0; t < 1000; t++) {
       pkg.Tick(kTick);

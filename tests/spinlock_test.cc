@@ -9,28 +9,33 @@
 namespace papd {
 namespace {
 
-SpinLockWork::Params DefaultParams() { return SpinLockWork::Params{}; }
-
 std::vector<int> FourCores() { return {0, 1, 2, 3}; }
+
+// One 1 ms tick through the span entry point; returns the per-core slices.
+std::vector<WorkSlice> Tick(SpinLockWork& work, const std::vector<Mhz>& freqs) {
+  std::vector<WorkSlice> slices(freqs.size());
+  work.RunBatch(Seconds{0.001}, freqs.data(), slices.data(), freqs.size());
+  return slices;
+}
 
 TEST(SpinLock, SingleThreadUncontended) {
   // One thread never waits: iteration time = (local + critical) / f.
-  SpinLockWork work({0}, DefaultParams());
+  SpinLockWork work({0});
   const std::vector<Mhz> freqs = {Mhz{2000.0}};
   for (int i = 0; i < 1000; i++) {
-    work.Run(Seconds{0.001}, freqs);
+    Tick(work, freqs);
   }
   const double expected = 1.0 /* s */ * 2000e6 / (40000.0 + 20000.0);
   EXPECT_NEAR(work.total_iterations(), expected, expected * 0.02);
 }
 
 TEST(SpinLock, ContendedThroughputBoundByLock) {
-  // Four threads, equal frequency: with critical_cycles = c and the lock
-  // serial, system throughput <= f / c.
-  SpinLockWork work(FourCores(), DefaultParams());
+  // Four threads, equal frequency: with c = 20000 critical-section cycles
+  // and the lock serial, system throughput <= f / c.
+  SpinLockWork work(FourCores());
   const std::vector<Mhz> freqs(4, Mhz{2000.0});
   for (int i = 0; i < 1000; i++) {
-    work.Run(Seconds{0.001}, freqs);
+    Tick(work, freqs);
   }
   const double lock_bound = 1.0 * 2000e6 / 20000.0;
   EXPECT_LE(work.total_iterations(), lock_bound * 1.02);
@@ -38,10 +43,10 @@ TEST(SpinLock, ContendedThroughputBoundByLock) {
 }
 
 TEST(SpinLock, FairFifoHandoff) {
-  SpinLockWork work(FourCores(), DefaultParams());
+  SpinLockWork work(FourCores());
   const std::vector<Mhz> freqs(4, Mhz{2000.0});
   for (int i = 0; i < 2000; i++) {
-    work.Run(Seconds{0.001}, freqs);
+    Tick(work, freqs);
   }
   const auto& its = work.iterations();
   for (size_t i = 1; i < its.size(); i++) {
@@ -53,14 +58,14 @@ TEST(SpinLock, ConvoyEffect) {
   // Throttling ONE core drags the whole system down by far more than a
   // quarter of the frequency loss: every fourth critical section runs at
   // the slow core's speed and everyone else queues behind it.
-  SpinLockWork uniform(FourCores(), DefaultParams());
-  SpinLockWork convoy(FourCores(), DefaultParams());
+  SpinLockWork uniform(FourCores());
+  SpinLockWork convoy(FourCores());
   const std::vector<Mhz> fast(4, Mhz{3000.0});
   std::vector<Mhz> skewed(4, Mhz{3000.0});
   skewed[0] = Mhz{800.0};
   for (int i = 0; i < 2000; i++) {
-    uniform.Run(Seconds{0.001}, fast);
-    convoy.Run(Seconds{0.001}, skewed);
+    Tick(uniform, fast);
+    Tick(convoy, skewed);
   }
   const double uniform_rate = uniform.total_iterations();
   const double convoy_rate = convoy.total_iterations();
@@ -75,12 +80,12 @@ TEST(SpinLock, ConvoyEffect) {
 TEST(SpinLock, SpinningInflatesIps) {
   // The paper's warning: the fast cores' retired-instruction rate stays
   // high while their useful progress collapses.
-  SpinLockWork work(FourCores(), DefaultParams());
+  SpinLockWork work(FourCores());
   std::vector<Mhz> skewed(4, Mhz{3000.0});
   skewed[0] = Mhz{800.0};
   double fast_core_instr = 0.0;
   for (int i = 0; i < 2000; i++) {
-    const auto slices = work.Run(Seconds{0.001}, skewed);
+    const auto slices = Tick(work, skewed);
     fast_core_instr += slices[1].instructions;
   }
   const double fast_core_ips = fast_core_instr / 2.0;
@@ -94,23 +99,23 @@ TEST(SpinLock, SpinningInflatesIps) {
 }
 
 TEST(SpinLock, BusyFractionFullWhenSpinning) {
-  SpinLockWork work(FourCores(), DefaultParams());
+  SpinLockWork work(FourCores());
   std::vector<Mhz> skewed(4, Mhz{3000.0});
   skewed[0] = Mhz{800.0};
   for (int i = 0; i < 500; i++) {
-    work.Run(Seconds{0.001}, skewed);
+    Tick(work, skewed);
   }
-  const auto slices = work.Run(Seconds{0.001}, skewed);
+  const auto slices = Tick(work, skewed);
   for (const WorkSlice& s : slices) {
     EXPECT_GT(s.busy_fraction, 0.95);  // Spinners look 100% busy.
   }
 }
 
 TEST(SpinLock, ZeroFrequencyCoreStalls) {
-  SpinLockWork work({0, 1}, DefaultParams());
+  SpinLockWork work({0, 1});
   const std::vector<Mhz> freqs = {Mhz{2000.0}, Mhz{0.0}};
   for (int i = 0; i < 500; i++) {
-    work.Run(Seconds{0.001}, freqs);
+    Tick(work, freqs);
   }
   EXPECT_GT(work.iterations()[0], 0.0);
   EXPECT_DOUBLE_EQ(work.iterations()[1], 0.0);

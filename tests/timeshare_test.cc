@@ -102,5 +102,14 @@ TEST(TimeShare, AvxPropagatesFromMembers) {
   EXPECT_FALSE(zero_res_avx.UsesAvx());
 }
 
+// The member index is checked in every build type: unchecked, a release
+// build would write past the member array.
+TEST(TimeShareDeathTest, SetResidencyOutOfRangeAborts) {
+  Process a(GetProfile("leela"), 1);
+  Process b(GetProfile("leela"), 2);
+  TimeSharedCore shared({{.work = &a, .residency = 0.5}, {.work = &b, .residency = 0.5}});
+  EXPECT_DEATH(shared.SetResidency(2, 0.25), "member out of range");
+}
+
 }  // namespace
 }  // namespace papd

@@ -12,16 +12,23 @@ namespace {
 
 std::vector<int> NineCores() { return {0, 1, 2, 3, 4, 5, 6, 7, 8}; }
 
+// One 1 ms tick through the span entry point; returns the per-core slices.
+std::vector<WorkSlice> Tick(WebSearch& ws, const std::vector<Mhz>& freqs) {
+  std::vector<WorkSlice> slices(freqs.size());
+  ws.RunBatch(Seconds{0.001}, freqs.data(), slices.data(), freqs.size());
+  return slices;
+}
+
 // Advances the model `seconds` at a uniform frequency; returns p90 latency
 // over the post-warmup window.
 Seconds RunAt(WebSearch* ws, Mhz freq, Seconds warmup, Seconds seconds) {
   const std::vector<Mhz> freqs(ws->Cores().size(), freq);
   for (Seconds t{0.0}; t < warmup; t += Seconds{0.001}) {
-    ws->Run(Seconds{0.001}, freqs);
+    Tick(*ws, freqs);
   }
   ws->ResetStats();
   for (Seconds t{0.0}; t < seconds; t += Seconds{0.001}) {
-    ws->Run(Seconds{0.001}, freqs);
+    Tick(*ws, freqs);
   }
   return ws->LatencyPercentile(90);
 }
@@ -75,8 +82,8 @@ TEST(WebSearch, UtilizationRisesWhenThrottled) {
   double fast_util = 0.0;
   double slow_util = 0.0;
   for (int i = 0; i < 60000; i++) {
-    fast.Run(Seconds{0.001}, f_fast);
-    slow.Run(Seconds{0.001}, f_slow);
+    Tick(fast, f_fast);
+    Tick(slow, f_slow);
     fast_util += fast.last_mean_utilization();
     slow_util += slow.last_mean_utilization();
   }
@@ -89,9 +96,9 @@ TEST(WebSearch, SlicesReportWorkCharacteristics) {
   const std::vector<Mhz> freqs(9, Mhz{2600.0});
   // Warm up until requests flow.
   for (int i = 0; i < 5000; i++) {
-    ws.Run(Seconds{0.001}, freqs);
+    Tick(ws, freqs);
   }
-  const std::vector<WorkSlice> slices = ws.Run(Seconds{0.001}, freqs);
+  const std::vector<WorkSlice> slices = Tick(ws, freqs);
   ASSERT_EQ(slices.size(), 9u);
   bool any_busy = false;
   for (const WorkSlice& s : slices) {
@@ -113,7 +120,7 @@ TEST(WebSearch, ZeroFrequencyCoreServesNothing) {
   std::vector<Mhz> freqs(9, Mhz{2600.0});
   freqs[4] = Mhz{0.0};  // Offlined member.
   for (int i = 0; i < 20000; i++) {
-    const auto slices = ws.Run(Seconds{0.001}, freqs);
+    const auto slices = Tick(ws, freqs);
     EXPECT_DOUBLE_EQ(slices[4].instructions, 0.0);
   }
   // The system still completes requests on the other 8 cores.

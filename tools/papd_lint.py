@@ -34,6 +34,12 @@ Rules:
                         Everything else uses the wrappers so Clang
                         -Wthread-safety sees every acquisition.
 
+  raw-assert            No raw `assert(...)` under src/: it compiles out under
+                        NDEBUG, which the default RelWithDebInfo build
+                        defines.  Use PAPD_CHECK (every build) at construction
+                        and API boundaries, PAPD_DCHECK on per-tick paths
+                        (src/common/check.h).  `static_assert` is exempt.
+
   trace-side-effect     PAPD_TRACE_* macro arguments must be pure: when
                         tracing is disabled the macro may not evaluate its
                         arguments, so `++`, `--`, and assignments inside the
@@ -398,6 +404,23 @@ def check_raw_mutex(ctx: FileContext) -> Iterator[Finding]:
                 f"raw `std::{toks[i + 2].text}`; use papd::Mutex / papd::MutexLock / "
                 f"papd::CondVar (src/common/mutex.h) so Clang -Wthread-safety sees "
                 f"the acquisition",
+            )
+
+
+@rule("raw-assert", "no raw assert() under src/; use PAPD_CHECK / PAPD_DCHECK")
+def check_raw_assert(ctx: FileContext) -> Iterator[Finding]:
+    if not ctx.rel.startswith("src/"):
+        return
+    toks = ctx.code_tokens()
+    for i in range(len(toks) - 1):
+        if toks[i].kind == "ident" and toks[i].text == "assert" and toks[i + 1].text == "(":
+            yield Finding(
+                "raw-assert",
+                ctx.rel,
+                toks[i].line,
+                "raw `assert` compiles out under NDEBUG (the default build); use "
+                "PAPD_CHECK at boundaries or PAPD_DCHECK on per-tick paths "
+                "(src/common/check.h)",
             )
 
 
