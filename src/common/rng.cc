@@ -5,8 +5,6 @@
 namespace papd {
 namespace {
 
-inline uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -21,23 +19,6 @@ Rng::Rng(uint64_t seed) {
   for (auto& s : s_) {
     s = SplitMix64(&sm);
   }
-}
-
-uint64_t Rng::NextU64() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  // 53 high bits -> [0, 1).
-  return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * NextDouble(); }
@@ -62,11 +43,7 @@ double Rng::Exponential(double mean) {
   return -mean * std::log(1.0 - u);
 }
 
-double Rng::Normal(double mean, double stddev) {
-  if (have_spare_) {
-    have_spare_ = false;
-    return mean + stddev * spare_z_;
-  }
+double Rng::NormalPair(double mean, double stddev) {
   // Box-Muller yields two independent variates per uniform pair; keep the
   // sine one for the next call.
   double u1 = NextDouble();

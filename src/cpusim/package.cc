@@ -39,6 +39,8 @@ void Package::AttachWork(int core, CoreWork* work) {
 }
 
 void Package::DetachWork(int core) {
+  PAPD_CHECK(core >= 0 && core < num_cores())
+      << "DetachWork: core" << core << "out of range for" << num_cores() << "cores";
   const auto i = static_cast<size_t>(core);
   cores_.work[i] = nullptr;
   cores_.work_avx[i] = 0;
@@ -76,11 +78,15 @@ void Package::AttachMultiWork(MultiCoreWork* work) {
 }
 
 void Package::SetRequestedMhz(int core, Mhz mhz) {
+  PAPD_CHECK(core >= 0 && core < num_cores())
+      << "SetRequestedMhz: core" << core << "out of range for" << num_cores() << "cores";
   cores_.requested_mhz[static_cast<size_t>(core)] = pstates_.QuantizeDown(mhz);
   control_epoch_++;
 }
 
 void Package::SetOnline(int core, bool online) {
+  PAPD_CHECK(core >= 0 && core < num_cores())
+      << "SetOnline: core" << core << "out of range for" << num_cores() << "cores";
   const auto i = static_cast<size_t>(core);
   cores_.online[i] = online ? 1 : 0;
   if (!online) {
@@ -181,7 +187,7 @@ int Package::AdvanceSteady(Seconds dt, int max_ticks) {
   // Every lane is held, so each of the k ticks would replay exactly the
   // frozen plan: same slices, effective frequencies, per-core power, and
   // the same package total.  Counters take the per-tick kernel increments
-  // (CountersScalar) multiplied out; package energy and time accumulate in
+  // (SettleScalar) multiplied out; package energy and time accumulate in
   // the per-tick order so the trajectory stays bit-identical to the
   // equivalent TickFast sequence.
   const double kd = static_cast<double>(k);
@@ -224,11 +230,8 @@ int Package::AdvanceSteady(Seconds dt, int max_ticks) {
       work[i]->RunBatch(dt, &effective_mut[i], &slices_mut[i], 1);
     }
   }
-  Reprice();
-  kernels_->counters(effective_mut, slices_mut, cores_.power_w.data(), spec_.tsc_mhz, dt,
-                     cores_.aperf_cycles.data(), cores_.mperf_cycles.data(),
-                     cores_.instructions_retired.data(), cores_.energy_j.data(), n);
-  thermal_.Relax(dt);
+  Reprice(/*all=*/true);
+  Settle(dt);
   package_energy_j_ += last_package_power_w_ * dt;
   now_ += dt;
   tick_stats_.fast_ticks++;
@@ -255,6 +258,7 @@ void Package::RefreshCensus() {
   const size_t n = cores_.size();
   int active = 0;
   int avx_active = 0;
+  int works = 0;
   for (size_t i = 0; i < n; i++) {
     const bool has_work = cores_.work[i] != nullptr;
     avx_lane_[i] = (cores_.online[i] && has_work) ? cores_.work_avx[i] : 0;
@@ -263,6 +267,7 @@ void Package::RefreshCensus() {
     }
     active++;
     avx_active += avx_lane_[i];
+    works += has_work ? 1 : 0;
   }
   for (const MultiWorkEntry& w : multi_works_) {
     if (w.uses_avx) {
@@ -271,56 +276,44 @@ void Package::RefreshCensus() {
   }
   census_active_ = active;
   census_avx_active_ = avx_active;
+  census_works_ = works;
   census_epoch_ = control_epoch_;
 }
 
 // PAPD_HOT
-void Package::Reprice() {
-  const size_t n = cores_.size();
-  const WorkSlice* slices = cores_.slice.data();
-  const int busy_cores =
-      kernels_->power(cores_.effective_mhz.data(), slices, cores_.online.data(), power_model_,
-                      cores_.volts_cache_mhz.data(), cores_.volts_cache_v.data(),
-                      cores_.power_w.data(), n);
-  for (size_t i = 0; i < n; i++) {
-    priced_busy_[i] = slices[i].busy_fraction;
-    priced_activity_[i] = slices[i].activity;
+bool Package::Reprice(bool all) {
+  const simd::PriceResult r = kernels_->price(
+      cores_.effective_mhz.data(), cores_.slice.data(), cores_.online.data(), power_model_, all,
+      simd::PricedLanes{cores_.volts_cache_mhz.data(), cores_.volts_cache_v.data(),
+                        priced_busy_.data(), priced_activity_.data()},
+      cores_.power_w.data(), cores_.size());
+  power_epoch_ = control_epoch_;
+  if (!all && !r.moved) {
+    // Every lane's power, the package total, the uncore share and the
+    // thermal targets of the last price still hold.
+    return false;
   }
   // Package power reduces in scalar index order regardless of kernel width:
   // reassociating this sum would break the bit-identity contract.
   Watts total{0.0};
-  const Watts* pw = cores_.power_w.data();
-  for (size_t i = 0; i < n; i++) {
-    total += pw[i];
+  for (const Watts w : cores_.power_w) {
+    total += w;
   }
-  const Watts uncore{power_model_.UncorePowerW(busy_cores)};
+  const Watts uncore{power_model_.UncorePowerW(r.busy_cores)};
   total += uncore;
   last_package_power_w_ = total;
   last_uncore_power_w_ = uncore;
   thermal_.SetPower(cores_.power_w, uncore);
-  power_epoch_ = control_epoch_;
+  return true;
 }
 
 // PAPD_HOT
-bool Package::PowerInputsMoved() const {
-  if (power_epoch_ != control_epoch_) {
-    return true;
-  }
-  const size_t n = cores_.size();
-  const uint8_t* online = cores_.online.data();
-  const Mhz* effective = cores_.effective_mhz.data();
-  const Mhz* priced_mhz = cores_.volts_cache_mhz.data();
-  const WorkSlice* slices = cores_.slice.data();
-  for (size_t i = 0; i < n; i++) {
-    // Offline lanes are never priced: their power is the constant written
-    // when they went offline.
-    if (online[i] && (effective[i] != priced_mhz[i] ||
-                      slices[i].busy_fraction != priced_busy_[i] ||
-                      slices[i].activity != priced_activity_[i])) {
-      return true;
-    }
-  }
-  return false;
+void Package::Settle(Seconds dt) {
+  thermal_.SetHottest(kernels_->settle(
+      cores_.effective_mhz.data(), cores_.slice.data(), cores_.power_w.data(), spec_.tsc_mhz, dt,
+      simd::CounterLanes{cores_.aperf_cycles.data(), cores_.mperf_cycles.data(),
+                         cores_.instructions_retired.data(), cores_.energy_j.data()},
+      thermal_.LanesForTick(dt), cores_.size()));
 }
 
 // PAPD_HOT
@@ -330,7 +323,6 @@ void Package::TickFull(Seconds dt) {
   CoreWork* const* work = cores_.work.data();
   Mhz* effective = cores_.effective_mhz.data();
   WorkSlice* slices = cores_.slice.data();
-  const simd::TickKernels& k = *kernels_;
 
   // 1. Census: its inputs (online, attach and multi-work flags) change only
   // through setters that bump the control epoch.
@@ -352,37 +344,37 @@ void Package::TickFull(Seconds dt) {
     cp.min_mhz = spec_.min_mhz;
     cp.tj_max_c = spec_.thermal.tj_max_c;
     cp.rapl_on = rapl_.enabled();
-    k.clamp(cores_.requested_mhz.data(), online, avx_lane_.data(),
-            thermal_.temps_c().data(), cp, effective, n);
+    kernels_->clamp(cores_.requested_mhz.data(), online, avx_lane_.data(),
+                    thermal_.temps_c().data(), cp, effective, n);
     clamp_epoch_ = control_epoch_;
     clamp_hot_ = hot;
   }
 
   // 3. Run workloads; slices land in place via the span API (no per-tick
   // vector allocation and no result copies).  Idle and offline lanes keep
-  // the zero slice written at detach/offline time.
-  for (size_t i = 0; i < n; i++) {
-    if (online[i] && work[i] != nullptr) {
-      work[i]->RunBatch(dt, &effective[i], &slices[i], 1);
+  // the zero slice written at detach/offline time.  The census counted the
+  // online single-core works, so a package without any (a serving socket)
+  // skips the scan.
+  if (census_works_ > 0) {
+    for (size_t i = 0; i < n; i++) {
+      if (online[i] && work[i] != nullptr) {
+        work[i]->RunBatch(dt, &effective[i], &slices[i], 1);
+      }
     }
   }
   RunMultiWorks(dt);
 
-  // 4. Voltage memo + per-core power for online lanes, re-priced only when
-  // an input moved; otherwise the per-core power, the package total, the
-  // uncore share and the thermal targets of the last price still hold.
-  // Hardware counters advance for all lanes every tick.
-  if (PowerInputsMoved()) {
-    Reprice();
+  // 4. Price: only the lanes whose frequency, busy fraction or activity
+  // moved re-price (all online lanes after an epoch change); the package
+  // total, uncore share and thermal targets are rebuilt when any did.
+  if (Reprice(/*all=*/power_epoch_ != control_epoch_)) {
     tick_stats_.repriced_ticks++;
   }
-  k.counters(effective, slices, cores_.power_w.data(), spec_.tsc_mhz, dt,
-             cores_.aperf_cycles.data(), cores_.mperf_cycles.data(),
-             cores_.instructions_retired.data(), cores_.energy_j.data(), n);
 
-  // 5. RAPL and the thermal model observe this tick's power.
+  // 5. Settle: counters advance for all lanes and the temperatures relax in
+  // one pass; RAPL observes this tick's power.
+  Settle(dt);
   rapl_.Update(last_package_power_w_, dt);
-  thermal_.Relax(dt);
 
   // 6. Bookkeeping.
   package_energy_j_ += last_package_power_w_ * dt;
@@ -437,20 +429,16 @@ void Package::TickFast(Seconds dt) {
     total += p;
   }
 
-  // Hardware counters advance exactly every tick for every lane: multi-rate
-  // defers only workload-internal accounting, never the counters MSR
-  // readers and policy daemons observe.
-  const size_t n = cores_.size();
-  kernels_->counters(effective, slices, cores_.power_w.data(), spec_.tsc_mhz,
-                     dt, cores_.aperf_cycles.data(), cores_.mperf_cycles.data(),
-                     cores_.instructions_retired.data(), cores_.energy_j.data(),
-                     n);
   const Watts uncore{power_model_.UncorePowerW(busy_cores)};
   total += uncore;
 
-  // The RAPL controller is disabled on this path (CanFastTick); the thermal
-  // model still integrates every tick so PROCHOT never lags a hold window.
-  thermal_.Update(cores_.power_w, uncore, dt);
+  // Hardware counters advance exactly every tick for every lane: multi-rate
+  // defers only workload-internal accounting, never the counters MSR
+  // readers and policy daemons observe.  The RAPL controller is disabled on
+  // this path (CanFastTick); the thermal model still integrates every tick
+  // so PROCHOT never lags a hold window.
+  thermal_.SetPower(cores_.power_w, uncore);
+  Settle(dt);
 
   last_package_power_w_ = total;
   last_uncore_power_w_ = uncore;

@@ -1,14 +1,23 @@
 // The simulated processor package: cores, turbo, AVX caps, RAPL, power.
 //
-// Package::Tick advances one time step:
-//   1. effective per-core frequency = min(requested, turbo ladder limit,
-//      AVX cap if the core runs AVX code, RAPL ceiling);
-//   2. workloads run at those frequencies and report slices;
-//   3. the power model converts slices to per-core watts; uncore power is
-//      added; the RAPL controller observes package power and adjusts its
-//      ceiling for the next tick;
-//   4. hardware counters (APERF/MPERF, retired instructions, energy)
-//      advance.
+// Package::Tick advances one time step.  A full tick touches each lane once
+// after its works run:
+//   1. census: active, AVX-active and single-core-work lane counts (keyed by
+//      the control epoch);
+//   2. clamp: effective per-core frequency = min(requested, turbo ladder
+//      limit, AVX cap if the core runs AVX code, RAPL ceiling), PROCHOT to
+//      the floor (keyed by the epoch, RAPL armed and PROCHOT);
+//   3. works: workloads run at those frequencies and write their slices
+//      (the per-lane scan for single-core works is skipped when the census
+//      counted none);
+//   4. price: lanes whose frequency, busy fraction or activity moved since
+//      they were last priced get new per-core watts (every online lane when
+//      the epoch moved); when any did, uncore power is added, the package
+//      total re-summed and the thermal targets set;
+//   5. settle: hardware counters (APERF/MPERF, retired instructions,
+//      energy) advance and every lane's temperature relaxes, in one pass;
+//      the RAPL controller observes package power and adjusts its ceiling
+//      for the next tick.
 //
 // Per-core state is structure-of-arrays (CoreArray, core.h): each tick pass
 // streams over contiguous vectors, workload slices are written in place via
@@ -20,13 +29,12 @@
 // Tick policies:
 //   kEveryTick   the bit-pinned reference mode.  Works, counters, RAPL,
 //                thermal relaxation, energy and time advance every tick; the
-//                census, clamp and power passes are memoized and recompute
-//                only when one of their inputs moved since they last ran
-//                (census: the control epoch; clamp: the epoch, RAPL armed,
-//                PROCHOT at the last clamp or now; power: the epoch, or a
-//                lane's effective frequency, busy fraction or activity).  A
-//                skipped pass would have rewritten exactly the bits it left
-//                in place, so the memo never changes a simulated output;
+//                census and clamp passes are memoized and recompute only
+//                when one of their inputs moved since they last ran, and the
+//                price pass re-prices only the lanes whose inputs moved (see
+//                the steps above).  A skipped pass or lane would have
+//                rewritten exactly the bits it left in place, so the memo
+//                never changes a simulated output;
 //   kMultiRate   cores whose workload reports a steady phase (and whose
 //                control plane is quiescent) are *held*: their slice, power
 //                and effective frequency are replayed for up to K ticks
@@ -76,7 +84,8 @@ class Package {
 
   // --- Work attachment (non-owning) ----------------------------------------
   // The core must be in range and not belong to a multi-core work
-  // (PAPD_CHECKed in every build).
+  // (PAPD_CHECKed in every build; DetachWork and the per-core setters below
+  // check the range too).
   void AttachWork(int core, CoreWork* work);
   void DetachWork(int core);
   // Attaches a coupled multi-core work to the cores it reports.  Those must
@@ -135,7 +144,7 @@ class Package {
     uint64_t plan_rebuilds = 0;
     uint64_t hold_segments = 0;   // AdvanceSteady segments taken.
     uint64_t batched_ticks = 0;   // Ticks advanced in closed form (excl. refresh).
-    uint64_t repriced_ticks = 0;  // Full ticks that re-ran the power pass.
+    uint64_t repriced_ticks = 0;  // Full ticks in which any lane re-priced.
   };
 
   void SetTickPolicy(TickPolicy policy, int max_hold_ticks = kDefaultMaxHoldTicks);
@@ -182,19 +191,21 @@ class Package {
   static constexpr uint64_t kStaleEpoch = ~uint64_t{0};
 
   // Full tick: the bit-pinned reference path.  Every lane's work and
-  // counters advance; the census, clamp and power passes run when their
-  // inputs moved (see the kEveryTick note at the top of this file).
+  // counters advance; the census and clamp passes run when their inputs
+  // moved, and the price pass re-prices the lanes whose inputs moved (see
+  // the steps at the top of this file).
   void TickFull(Seconds dt);
-  // Recounts active and AVX-active cores and rewrites avx_lane_.
+  // Recounts active, AVX-active and single-core-work lanes and rewrites
+  // avx_lane_.
   void RefreshCensus();
-  // True when the power pass must re-price: the epoch moved since the last
-  // price, or an online lane's frequency, busy fraction or activity differs
-  // from what it was priced at.
-  bool PowerInputsMoved() const;
-  // The power pass: prices every online lane (voltage memo + power kernel),
-  // records the priced inputs, and sets the package total, the uncore share
-  // and the thermal targets.
-  void Reprice();
+  // The price pass: the price kernel re-prices every online lane (`all`) or
+  // only those whose inputs moved.  When any lane re-priced, or `all`, sets
+  // the package total (index-order sum), the uncore share and the thermal
+  // targets, and returns true.
+  bool Reprice(bool all);
+  // The settle pass: one kernel pass advances every lane's counters and
+  // relaxes its temperature.
+  void Settle(Seconds dt);
   // Multi-rate fast tick: runs only unsteady lanes' work and power; held
   // lanes replay their plan-time slice.  Counters advance exactly.
   void TickFast(Seconds dt);
@@ -231,10 +242,12 @@ class Package {
   uint64_t census_epoch_ = kStaleEpoch;
   int census_active_ = 0;
   int census_avx_active_ = 0;
+  int census_works_ = 0;  // Online lanes carrying a single-core work.
   std::vector<uint8_t> avx_lane_;  // 1 iff online with an AVX single-core work.
   uint64_t clamp_epoch_ = kStaleEpoch;
   bool clamp_hot_ = false;  // Some lane was at/above tj_max_c at the last clamp.
-  // TickFast prices only its unsteady lanes and resets this.
+  // The epoch of the last price pass; TickFast prices only its unsteady
+  // lanes and resets this, so the next full tick prices every lane.
   uint64_t power_epoch_ = kStaleEpoch;
   // Busy fraction and activity each lane was last priced at (its frequency
   // is volts_cache_mhz).

@@ -1,18 +1,28 @@
 // SIMD kernels for the Package::Tick hot passes.
 //
-// The per-core passes of the tick engine — the effective-frequency clamp
-// (turbo ladder / AVX cap / RAPL ceiling / PROCHOT), the voltage-memo +
-// dynamic-power evaluation, and the hardware-counter accumulation — are
-// kernels operating on the flat CoreArray vectors.  (The C0/AVX census runs
-// only when the control plane changes, so it is one scalar loop in
-// Package.)  Every-tick Package recomputes the clamp and power passes only
-// when their inputs moved; the counters run every tick.  Two
-// implementations exist behind one function-pointer table:
+// The per-core passes of the tick engine are kernels operating on the flat
+// CoreArray vectors (the C0/AVX census runs only when the control plane
+// changes, so it is one scalar loop in Package):
 //
-//   kScalarKernels        the bit-exact reference: literal ports of the
-//                         original Package::Tick loops (always built);
+//   clamp    the effective-frequency clamp (turbo ladder / AVX cap / RAPL
+//            ceiling / PROCHOT); every-tick Package reruns it only when its
+//            inputs moved;
+//   price    re-prices only the online lanes whose effective frequency,
+//            busy fraction or activity moved since they were last priced
+//            (all online lanes when the control epoch moved), and reports
+//            whether any did plus the busy-core count;
+//   settle   one pass per tick over every lane: advances APERF/MPERF,
+//            retired instructions and per-core energy, relaxes each lane's
+//            temperature toward its thermal target, and returns the hottest.
+//
+// Two implementations exist behind one function-pointer table:
+//
+//   kScalarKernels        the bit-exact reference (always built);
 //   kAvx2Kernels          4-lane AVX2 intrinsics, built when the PAPD_SIMD
 //                         CMake option is ON and the compiler takes -mavx2.
+//                         Each AVX2 kernel handles its last n mod 4 lanes
+//                         with the same inline lane loops the scalar table
+//                         runs (lane_steps.h).
 //
 // Dispatch is at runtime: ActiveKernels() probes the CPU once (plus a
 // PAPD_SIMD=scalar environment override and a test-forcing hook) and every
@@ -23,10 +33,12 @@
 // division where the scalar path divides, min/max via vminpd/vmaxpd (exact),
 // and no FMA contraction (the AVX2 translation unit is compiled with -mavx2
 // only, never -mfma).  Cross-lane reductions that would reassociate floating
-// point (the package-power total) stay in Package::Tick as a scalar
-// index-order sum over the per-core power vector.  The contract is pinned by
-// the FNV-1a golden checksums in tests/soa_equivalence_test.cc, which run
-// under both kernel tables.
+// point (the package-power total) stay in Package as a scalar index-order
+// sum over the per-core power vector; the busy-core count is integral and
+// the hottest temperature is a maximum, so both are exact in any lane order.
+// The contract is pinned by the FNV-1a golden checksums in
+// tests/soa_equivalence_test.cc, which run under both kernel tables, and by
+// its lane-by-lane comparison of the two tables at every tail length.
 
 #ifndef SRC_CPUSIM_SIMD_TICK_KERNELS_H_
 #define SRC_CPUSIM_SIMD_TICK_KERNELS_H_
@@ -36,6 +48,7 @@
 
 #include "src/common/units.h"
 #include "src/cpusim/power_model.h"
+#include "src/cpusim/thermal.h"
 #include "src/specsim/core_work.h"
 
 namespace papd {
@@ -59,31 +72,55 @@ using ClampFn = void (*)(const Mhz* requested_mhz, const uint8_t* online,
                          const uint8_t* avx_lane, const double* temps_c,
                          const ClampParams& p, Mhz* effective_mhz, size_t n);
 
-// Voltage-curve memo refresh + per-core power evaluation for online lanes;
-// returns the busy-core count (busy_fraction > 0.05 among online lanes).
-// The memo (volts_cache_mhz/volts_cache_v) is consulted vector-wide; misses
-// (effective frequency changed since the memo was filled) fall back to the
-// model's piecewise-linear VoltsAt per missing lane.  Offline lanes keep the
-// constant deep-C-state power written at the online->offline transition.
-using PowerFn = int (*)(const Mhz* effective_mhz, const WorkSlice* slices,
-                        const uint8_t* online, const PowerModel& model,
-                        Mhz* volts_cache_mhz, Volts* volts_cache_v,
-                        Watts* power_w, size_t n);
+// What each lane was last priced at.  `mhz` is also the voltage memo's key
+// (CoreArray::volts_cache_mhz) and `volts` its value.
+struct PricedLanes {
+  Mhz* mhz;
+  Volts* volts;
+  double* busy;
+  double* activity;
+};
 
-// Hardware-counter accumulation over ALL lanes (offline lanes advance with
-// busy == 0 and their constant offline power, exactly as the scalar tick
-// always has): APERF/MPERF cycles, retired instructions, per-core energy.
-using CountersFn = void (*)(const Mhz* effective_mhz, const WorkSlice* slices,
-                            const Watts* power_w, Mhz tsc_mhz, Seconds dt,
-                            double* aperf_cycles, double* mperf_cycles,
-                            double* instructions_retired, Joules* energy_j,
-                            size_t n);
+struct PriceResult {
+  bool moved = false;  // Some online lane re-priced.
+  int busy_cores = 0;  // Online lanes with busy_fraction > 0.05, moved or not.
+};
+
+// Price: an online lane moved when `all` is set or when its effective
+// frequency, busy fraction or activity differs from what it was last priced
+// at.  A moved lane refreshes its voltage memo on a frequency miss, writes
+// power_w = PowerModel::CorePowerW(...) and records its new priced inputs.
+// An unmoved lane's inputs are bitwise the ones it was priced at, so
+// re-pricing it would write the same bits: it is left alone.  Offline lanes
+// keep the constant deep-C-state power written at the online->offline
+// transition.
+using PriceFn = PriceResult (*)(const Mhz* effective_mhz, const WorkSlice* slices,
+                                const uint8_t* online, const PowerModel& model, bool all,
+                                const PricedLanes& priced, Watts* power_w, size_t n);
+
+// The hardware counters the settle kernel advances.
+struct CounterLanes {
+  double* aperf_cycles;
+  double* mperf_cycles;
+  double* instructions_retired;
+  Joules* energy_j;
+};
+
+// Settle, over ALL lanes (offline lanes advance with busy == 0 and their
+// constant offline power): APERF/MPERF cycles, retired instructions and
+// per-core energy advance by one tick, then each lane's temperature relaxes
+// one tick toward its target (RelaxedTemp).  Returns the hottest relaxed
+// temperature, never below thermal.floor_c.
+using SettleFn = Celsius (*)(const Mhz* effective_mhz, const WorkSlice* slices,
+                             const Watts* power_w, Mhz tsc_mhz, Seconds dt,
+                             const CounterLanes& counters, const RelaxLanes& thermal,
+                             size_t n);
 
 struct TickKernels {
   const char* name;  // "scalar" or "avx2".
   ClampFn clamp;
-  PowerFn power;
-  CountersFn counters;
+  PriceFn price;
+  SettleFn settle;
 };
 
 // The bit-exact reference implementation; always available.

@@ -1,5 +1,6 @@
 // AVX2 tick kernels: 4 double lanes per iteration over the flat CoreArray
-// vectors, with scalar-kernel tails.
+// vectors; the last n mod 4 lanes run the scalar lane loops of
+// lane_steps.h inline.
 //
 // Bit-identity with tick_kernels_scalar.cc is a hard contract (the FNV-1a
 // goldens in tests/soa_equivalence_test.cc run under both tables):
@@ -12,7 +13,10 @@
 //     so no mul+add pair is contracted into a differently rounded fused op;
 //   - cross-lane reductions that would reassociate floating point are not
 //     performed here (Package sums the power vector in scalar index order);
-//     the busy-core count is integral and therefore order-free.
+//     the busy-core count is integral and the hottest temperature is a
+//     maximum, so both are exact in any lane order.  The running maximum is
+//     vmaxpd(t, hottest), which keeps `hottest` when t is NaN, as std::max
+//     does in the scalar fold.
 //
 // The byte flags (online, the per-lane AVX flag) are strictly 0/1, which
 // MaskFromBytes exploits (0/1 -> 0/-1 via integer negate).  The Quantity<Tag>
@@ -26,6 +30,7 @@
 
 #include <type_traits>
 
+#include "src/cpusim/simd/lane_steps.h"
 #include "src/cpusim/simd/tick_kernels.h"
 
 namespace papd {
@@ -100,17 +105,13 @@ void ClampAvx2(const Mhz* requested_mhz, const uint8_t* online,
     const __m256d old = _mm256_loadu_pd(eff + i);
     _mm256_storeu_pd(eff + i, _mm256_blendv_pd(old, f, onm));
   }
-  if (i < n) {
-    kScalarKernels.clamp(requested_mhz + i, online + i, avx_lane + i,
-                         temps_c + i, p, effective_mhz + i, n - i);
-  }
+  ClampLanes(i, n, requested_mhz, online, avx_lane, temps_c, p, effective_mhz);
 }
 
 // PAPD_HOT
-int PowerAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
-              const uint8_t* online, const PowerModel& model,
-              Mhz* volts_cache_mhz, Volts* volts_cache_v, Watts* power_w,
-              size_t n) {
+PriceResult PriceAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
+                      const uint8_t* online, const PowerModel& model, bool all,
+                      const PricedLanes& priced, Watts* power_w, size_t n) {
   const PowerModelParams& pm = model.params();
   const __m256d leak_ref_w = _mm256_set1_pd(pm.leak_ref_w.value());
   const __m256d leak_ref_v = _mm256_set1_pd(pm.leak_ref_volts.value());
@@ -119,32 +120,47 @@ int PowerAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
   const __m256d one = _mm256_set1_pd(1.0);
   const __m256d ghz_div = _mm256_set1_pd(kMhzPerGhz);
   const __m256d busy_thresh = _mm256_set1_pd(0.05);
+  const __m256d all_lanes = _mm256_castsi256_pd(_mm256_set1_epi64x(all ? -1 : 0));
   const double* eff = reinterpret_cast<const double*>(effective_mhz);
-  const double* vc_f = reinterpret_cast<const double*>(volts_cache_mhz);
-  const double* vc_v = reinterpret_cast<const double*>(volts_cache_v);
+  const double* pf = reinterpret_cast<const double*>(priced.mhz);
+  const double* pv = reinterpret_cast<const double*>(priced.volts);
   double* pw = reinterpret_cast<double*>(power_w);
-  int busy_cores = 0;
+  PriceResult r;
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
-    const __m256d f = _mm256_loadu_pd(eff + i);
     const __m256d onm = MaskFromBytes(online + i);
+    const __m256d f = _mm256_loadu_pd(eff + i);
+    const __m256d busy = GatherBusy(slices + i);
+    const __m256d act = GatherActivity(slices + i);
+    const __m256d isbusy =
+        _mm256_and_pd(_mm256_cmp_pd(busy, busy_thresh, _CMP_GT_OQ), onm);
+    r.busy_cores += __builtin_popcount(
+        static_cast<unsigned>(_mm256_movemask_pd(isbusy)));
+    // A lane moved when any priced input differs (!= is unordered-or-not-
+    // equal, like the scalar comparison) or every lane must price.
+    const __m256d freq_moved = _mm256_cmp_pd(f, _mm256_loadu_pd(pf + i), _CMP_NEQ_UQ);
+    const __m256d input_moved = _mm256_or_pd(
+        _mm256_cmp_pd(busy, _mm256_loadu_pd(priced.busy + i), _CMP_NEQ_UQ),
+        _mm256_cmp_pd(act, _mm256_loadu_pd(priced.activity + i), _CMP_NEQ_UQ));
+    const __m256d moved = _mm256_and_pd(
+        _mm256_or_pd(all_lanes, _mm256_or_pd(freq_moved, input_moved)), onm);
+    if (_mm256_movemask_pd(moved) == 0) {
+      continue;
+    }
+    r.moved = true;
     // Voltage-memo refresh: online lanes whose effective frequency moved
     // since the memo was filled re-run the piecewise-linear lookup scalar
     // side (P-states change every ~1000 ticks, so misses are rare).
-    const __m256d miss = _mm256_and_pd(
-        _mm256_cmp_pd(f, _mm256_loadu_pd(vc_f + i), _CMP_NEQ_UQ), onm);
-    int miss_mask = _mm256_movemask_pd(miss);
+    const int miss_mask = _mm256_movemask_pd(_mm256_and_pd(freq_moved, onm));
     if (miss_mask != 0) {
       for (int l = 0; l < 4; ++l) {
         if (miss_mask & (1 << l)) {
-          volts_cache_mhz[i + l] = effective_mhz[i + l];
-          volts_cache_v[i + l] = model.VoltsAt(effective_mhz[i + l]);
+          priced.mhz[i + l] = effective_mhz[i + l];
+          priced.volts[i + l] = model.VoltsAt(effective_mhz[i + l]);
         }
       }
     }
-    const __m256d v = _mm256_loadu_pd(vc_v + i);
-    const __m256d busy = GatherBusy(slices + i);
-    const __m256d act = GatherActivity(slices + i);
+    const __m256d v = _mm256_loadu_pd(pv + i);
     // leakage = (leak_ref_w * (v / v_ref)) * (v / v_ref)
     const __m256d vr = _mm256_div_pd(v, leak_ref_v);
     const __m256d leak = _mm256_mul_pd(_mm256_mul_pd(leak_ref_w, vr), vr);
@@ -158,34 +174,36 @@ int PowerAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
     dyn = _mm256_mul_pd(dyn, busy);
     const __m256d gate = _mm256_mul_pd(gate_w, _mm256_sub_pd(one, busy));
     const __m256d p = _mm256_add_pd(_mm256_add_pd(leak, dyn), gate);
-    // Offline lanes keep their constant deep-C-state power.
-    _mm256_storeu_pd(pw + i, _mm256_blendv_pd(_mm256_loadu_pd(pw + i), p, onm));
-    const __m256d isbusy =
-        _mm256_and_pd(_mm256_cmp_pd(busy, busy_thresh, _CMP_GT_OQ), onm);
-    busy_cores += __builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_pd(isbusy)));
+    // Unmoved and offline lanes keep their power and priced inputs.
+    _mm256_storeu_pd(pw + i, _mm256_blendv_pd(_mm256_loadu_pd(pw + i), p, moved));
+    _mm256_storeu_pd(priced.busy + i,
+                     _mm256_blendv_pd(_mm256_loadu_pd(priced.busy + i), busy, moved));
+    _mm256_storeu_pd(priced.activity + i,
+                     _mm256_blendv_pd(_mm256_loadu_pd(priced.activity + i), act, moved));
   }
-  if (i < n) {
-    busy_cores += kScalarKernels.power(effective_mhz + i, slices + i, online + i,
-                                       model, volts_cache_mhz + i,
-                                       volts_cache_v + i, power_w + i, n - i);
-  }
-  return busy_cores;
+  PriceLanes(i, n, effective_mhz, slices, online, model, all, priced, power_w, &r);
+  return r;
 }
 
 // PAPD_HOT
-void CountersAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
-                  const Watts* power_w, Mhz tsc_mhz, Seconds dt,
-                  double* aperf_cycles, double* mperf_cycles,
-                  double* instructions_retired, Joules* energy_j, size_t n) {
+Celsius SettleAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
+                   const Watts* power_w, Mhz tsc_mhz, Seconds dt,
+                   const CounterLanes& counters, const RelaxLanes& thermal, size_t n) {
   const __m256d khz = _mm256_set1_pd(kHzPerMhz);
   const __m256d dts = _mm256_set1_pd(dt.value());
   // The MPERF step is lane-invariant; precompute it with the scalar
   // reference's association: ((tsc * kHz) * dt).
   const __m256d mstep = _mm256_set1_pd(tsc_mhz * kHzPerMhz * dt);
+  const __m256d alpha = _mm256_set1_pd(thermal.alpha);
   const double* eff = reinterpret_cast<const double*>(effective_mhz);
   const double* pw = reinterpret_cast<const double*>(power_w);
-  double* ej = reinterpret_cast<double*>(energy_j);
+  double* aperf = counters.aperf_cycles;
+  double* mperf = counters.mperf_cycles;
+  double* instr = counters.instructions_retired;
+  double* ej = reinterpret_cast<double*>(counters.energy_j);
+  const double* target = thermal.targets_c;
+  double* temp = thermal.temps_c;
+  __m256d hot4 = _mm256_set1_pd(thermal.floor_c);
   size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d busy = GatherBusy(slices + i);
@@ -193,28 +211,31 @@ void CountersAvx2(const Mhz* effective_mhz, const WorkSlice* slices,
     const __m256d f = _mm256_loadu_pd(eff + i);
     const __m256d a =
         _mm256_mul_pd(_mm256_mul_pd(_mm256_mul_pd(f, khz), dts), busy);
-    _mm256_storeu_pd(aperf_cycles + i,
-                     _mm256_add_pd(_mm256_loadu_pd(aperf_cycles + i), a));
-    _mm256_storeu_pd(mperf_cycles + i,
-                     _mm256_add_pd(_mm256_loadu_pd(mperf_cycles + i),
-                                   _mm256_mul_pd(mstep, busy)));
-    _mm256_storeu_pd(instructions_retired + i,
-                     _mm256_add_pd(_mm256_loadu_pd(instructions_retired + i),
-                                   GatherInstructions(slices + i)));
+    _mm256_storeu_pd(aperf + i, _mm256_add_pd(_mm256_loadu_pd(aperf + i), a));
+    _mm256_storeu_pd(mperf + i,
+                     _mm256_add_pd(_mm256_loadu_pd(mperf + i), _mm256_mul_pd(mstep, busy)));
+    _mm256_storeu_pd(instr + i,
+                     _mm256_add_pd(_mm256_loadu_pd(instr + i), GatherInstructions(slices + i)));
     _mm256_storeu_pd(ej + i, _mm256_add_pd(_mm256_loadu_pd(ej + i),
-                                           _mm256_mul_pd(_mm256_loadu_pd(pw + i),
-                                                         dts)));
+                                           _mm256_mul_pd(_mm256_loadu_pd(pw + i), dts)));
+    // T += alpha * (target - T)
+    const __m256d t = _mm256_loadu_pd(temp + i);
+    const __m256d relaxed = _mm256_add_pd(
+        t, _mm256_mul_pd(alpha, _mm256_sub_pd(_mm256_loadu_pd(target + i), t)));
+    _mm256_storeu_pd(temp + i, relaxed);
+    hot4 = _mm256_max_pd(relaxed, hot4);
   }
-  if (i < n) {
-    kScalarKernels.counters(effective_mhz + i, slices + i, power_w + i, tsc_mhz,
-                            dt, aperf_cycles + i, mperf_cycles + i,
-                            instructions_retired + i, energy_j + i, n - i);
-  }
+  alignas(32) double partial[4];
+  _mm256_store_pd(partial, hot4);
+  const Celsius hottest =
+      std::max(std::max(partial[0], partial[1]), std::max(partial[2], partial[3]));
+  return SettleLanes(i, n, effective_mhz, slices, power_w, tsc_mhz, dt, counters, thermal,
+                     hottest);
 }
 
 }  // namespace
 
-const TickKernels kAvx2Kernels = {"avx2", &ClampAvx2, &PowerAvx2, &CountersAvx2};
+const TickKernels kAvx2Kernels = {"avx2", &ClampAvx2, &PriceAvx2, &SettleAvx2};
 
 }  // namespace simd
 }  // namespace papd

@@ -33,19 +33,15 @@ void ThermalModel::SetPower(const std::vector<Watts>& core_w, Watts uncore_w) {
   }
 }
 
-void ThermalModel::Relax(Seconds dt) {
+void ThermalModel::Update(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt) {
+  SetPower(core_w, uncore_w);
   const double alpha = Alpha(dt);
   Celsius max = params_.ambient_c;
   for (size_t i = 0; i < temps_.size(); i++) {
-    temps_[i] += alpha * (targets_[i] - temps_[i]);
+    temps_[i] = RelaxedTemp(temps_[i], targets_[i], alpha);
     max = std::max(max, temps_[i]);
   }
   max_temp_c_ = max;
-}
-
-void ThermalModel::Update(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt) {
-  SetPower(core_w, uncore_w);
-  Relax(dt);
 }
 
 void ThermalModel::UpdateSteady(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt,

@@ -34,6 +34,22 @@ using Celsius = double;
 //   tj_max_c         — junction limit (PROCHOT threshold).
 using ThermalParams = PlatformThermal;
 
+// One tick of first-order relaxation toward the steady-state target,
+// T += alpha * (target - T).  Every relax path (ThermalModel::Update and both
+// tick-kernel tables) evaluates exactly this expression.
+inline Celsius RelaxedTemp(Celsius temp, Celsius target, double alpha) {
+  return temp + alpha * (target - temp);
+}
+
+// What ThermalModel hands the tick engine's settle kernel, which relaxes
+// every core in the same pass that advances the hardware counters.
+struct RelaxLanes {
+  const Celsius* targets_c;  // Per-core steady-state targets.
+  Celsius* temps_c;          // Per-core temperatures, relaxed in place.
+  double alpha;              // This tick's coefficient, 1 - exp(-dt / tau).
+  Celsius floor_c;           // Lower bound of the hottest-core result.
+};
+
 class ThermalModel {
  public:
   ThermalModel(ThermalParams params, int num_cores);
@@ -42,11 +58,16 @@ class ThermalModel {
   // power.  The targets hold until the next call, so a caller whose power
   // did not change since the last call may skip it and keep relaxing.
   void SetPower(const std::vector<Watts>& core_w, Watts uncore_w);
-  // Advances one tick of length dt toward the current targets:
-  // T += alpha * (target - T) per core.
-  void Relax(Seconds dt);
-  // One tick under the given power: SetPower, then Relax.
+  // One tick under the given power: SetPower, then every core relaxes one
+  // tick of length dt toward its target (RelaxedTemp).
   void Update(const std::vector<Watts>& core_w, Watts uncore_w, Seconds dt);
+
+  // The tick engine's relax step: the settle kernel relaxes the arrays
+  // handed out here and passes the hottest core back to SetHottest.
+  RelaxLanes LanesForTick(Seconds dt) {
+    return RelaxLanes{targets_.data(), temps_.data(), Alpha(dt), params_.ambient_c};
+  }
+  void SetHottest(Celsius hottest) { max_temp_c_ = hottest; }
 
   // Advances `ticks` ticks of length `dt` under *constant* power in closed
   // form: each core relaxes toward its steady temperature with the per-tick

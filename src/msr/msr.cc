@@ -21,6 +21,34 @@ uint64_t EnergyToRaplCounter(Joules j) {
   std::abort();
 }
 
+// Registers with one instance per core.  Every other register is package
+// scope and ignores the cpu number.
+bool IsPerCoreMsr(uint32_t reg) {
+  switch (reg) {
+    case kMsrIa32Mperf:
+    case kMsrIa32Aperf:
+    case kMsrFixedCtr0:
+    case kMsrIa32PerfCtl:
+    case kMsrIa32ThermStatus:
+    case kMsrAmdCoreEnergy:
+    case kMsrAmdPstateCtl:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// A per-core register on a cpu the package does not have faults, as rdmsr
+// and wrmsr on a nonexistent cpu do, instead of indexing past the per-core
+// state.
+void CheckCpu(uint32_t reg, int cpu, int num_cores) {
+  if (IsPerCoreMsr(reg) && (cpu < 0 || cpu >= num_cores)) {
+    PAPD_LOG_ERROR("#GP: MSR 0x%x on cpu %d, outside the package's cpus 0..%d", reg, cpu,
+                   num_cores - 1);
+    std::abort();
+  }
+}
+
 }  // namespace
 
 MsrFile::MsrFile(Package* package) : package_(package) {
@@ -31,6 +59,7 @@ MsrFile::MsrFile(Package* package) : package_(package) {
 }
 
 uint64_t MsrFile::Read(uint32_t reg, int cpu) const {
+  CheckCpu(reg, cpu, num_cores());
   switch (reg) {
     case kMsrIa32Mperf:
       return static_cast<uint64_t>(package_->core(cpu).mperf_cycles());
@@ -89,6 +118,7 @@ uint64_t MsrFile::Read(uint32_t reg, int cpu) const {
 
 void MsrFile::Write(uint32_t reg, int cpu, uint64_t value) {
   write_count_++;
+  CheckCpu(reg, cpu, num_cores());
   switch (reg) {
     case kMsrIa32PerfCtl: {
       if (spec().max_simultaneous_pstates != 0) {

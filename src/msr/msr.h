@@ -49,9 +49,10 @@ class MsrFile {
   int num_cores() const { return package_->num_cores(); }
 
   // --- Raw register interface ----------------------------------------------
-  // cpu is ignored for package-scope registers.  Unknown registers or
-  // feature-gated registers on the wrong platform abort (matching the #GP a
-  // real part raises).
+  // cpu is ignored for package-scope registers; a per-core register on a
+  // cpu outside [0, num_cores()) aborts, as do unknown registers and
+  // feature-gated registers on the wrong platform (matching the #GP a real
+  // part raises).
   uint64_t Read(uint32_t reg, int cpu) const;
   void Write(uint32_t reg, int cpu, uint64_t value);
 

@@ -122,20 +122,52 @@ void WebSearch::RunBatch(Seconds dt, const Mhz* freqs_mhz,
     }
   }
 
+  // Locals: stores through out_slices could alias the members, so reading
+  // them through `this` would reload them for every lane.
+  const double ipc = params_.ipc;
+  const double activity = params_.activity;
+  RequestRing* const queues = queues_.data();
+  double* const backlog = backlog_cycles_.data();
+  const size_t count = cores_.size();
   double util_sum = 0.0;
-  for (size_t i = 0; i < cores_.size(); i++) {
-    double available = freqs_mhz[i] * kHzPerMhz * dt;  // Cycles this slice.
-    const double budget = available;
-    auto& queue = queues_[i];
-    double used = 0.0;
+  for (size_t i = 0; i < count; i++) {
+    RequestRing& queue = queues[i];
+    const double budget = freqs_mhz[i] * kHzPerMhz * dt;  // Cycles this slice.
+    // Two exact shortcuts of the loop below.  An empty queue or a 0 MHz lane
+    // (any budget that is not positive) serves nothing: the loop would leave
+    // used = 0 and busy = 0, a zero slice that adds nothing to util_sum.
+    if (queue.empty() || !(budget > 0.0)) {
+      out_slices[i] = WorkSlice{};
+      continue;
+    }
+    // A head request needing more than the whole budget absorbs it: the loop
+    // would consume min(remaining, budget) = budget once, leave
+    // remaining - budget > 0 (no completion) and available = 0, and compute
+    // used = 0 + budget and busy = budget / budget = 1.
+    Request& head = queue.front();
+    if (head.remaining_cycles > budget) {
+      head.remaining_cycles -= budget;
+      backlog[i] -= budget;
+      util_sum += 1.0;
+      out_slices[i] = WorkSlice{
+          .instructions = budget * ipc,
+          .busy_fraction = 1.0,
+          .activity = activity,
+          .avx_fraction = 0.0,
+      };
+      continue;
+    }
 
+    // The head request completes inside the slice.
+    double available = budget;
+    double used = 0.0;
     while (!queue.empty() && available > 0.0) {
       Request& req = queue.front();
       const double consumed = std::min(req.remaining_cycles, available);
       req.remaining_cycles -= consumed;
       available -= consumed;
       used += consumed;
-      backlog_cycles_[i] -= consumed;
+      backlog[i] -= consumed;
       if (req.remaining_cycles <= 0.0) {
         // Completion at the exact fractional point of the slice.
         const Seconds finish{now_ + SecondsForCycles(budget - available, freqs_mhz[i])};
@@ -154,16 +186,16 @@ void WebSearch::RunBatch(Seconds dt, const Mhz* freqs_mhz,
       }
     }
 
-    const double busy = budget > 0.0 ? used / budget : 0.0;
+    const double busy = used / budget;
     util_sum += busy;
     out_slices[i] = WorkSlice{
-        .instructions = used * params_.ipc,
+        .instructions = used * ipc,
         .busy_fraction = busy,
-        .activity = busy > 0.0 ? params_.activity : 0.0,
+        .activity = busy > 0.0 ? activity : 0.0,
         .avx_fraction = 0.0,
     };
   }
-  last_mean_util_ = util_sum / static_cast<double>(cores_.size());
+  last_util_sum_ = util_sum;
   // Queue depth sampled at slice end, weighted by slice length: the
   // time-weighted mean over any window of uniform slices.
   depth_integral_s_ += dt * static_cast<double>(outstanding_);

@@ -99,8 +99,10 @@ class WebSearch : public MultiCoreWork {
   size_t completed_requests() const { return completed_; }
   const std::vector<Seconds>& latencies() const { return latencies_; }
 
-  // Mean per-core busy fraction over the last Run() call.
-  double last_mean_utilization() const { return last_mean_util_; }
+  // Mean per-core busy fraction over the last RunBatch slice.
+  double last_mean_utilization() const {
+    return last_util_sum_ / static_cast<double>(cores_.size());
+  }
 
   // --- Open-loop telemetry ---------------------------------------------------
   // Requests admitted since construction (open loop) or think-timer
@@ -173,7 +175,8 @@ class WebSearch : public MultiCoreWork {
   // covers, for the time-weighted mean (reset with the other stats).
   Seconds depth_integral_s_{0.0};
   Seconds depth_window_{0.0};
-  double last_mean_util_ = 0.0;
+  // Sum of the per-core busy fractions of the last RunBatch slice.
+  double last_util_sum_ = 0.0;
 };
 
 }  // namespace papd

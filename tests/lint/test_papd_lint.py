@@ -292,6 +292,21 @@ class SimdGuardTest(unittest.TestCase):
         self.assertIn("ClampAvx2", msgs[0].message)
         self.assertIn("ClampScalar", msgs[0].message)
 
+    def test_kernel_of_any_return_type_needs_scalar_twin(self):
+        src = (
+            "namespace papd {\nnamespace simd {\n\n"
+            "PriceResult PriceAvx2(const double* in, size_t n) { return {}; }\n"
+            "PriceResult PriceScalar(const double* in, size_t n) { return {}; }\n"
+            "Celsius SettleAvx2(const double* in, size_t n) { return in[n]; }\n"
+            "void Caller(const double* in) {\n  SettleAvx2(in, 1);\n}\n\n"
+            "}  // namespace simd\n}  // namespace papd\n"
+        )
+        findings = lint_tree({"src/cpusim/simd/kernels.cc": src})
+        msgs = [f for f in findings if f.rule == "simd-guard"]
+        self.assertEqual(len(msgs), 1)
+        self.assertIn("SettleAvx2", msgs[0].message)
+        self.assertIn("SettleScalar", msgs[0].message)
+
     def test_real_repo_kernels_all_have_scalar_twins(self):
         findings, _ = papd_lint.run(REPO_ROOT)
         self.assertEqual(

@@ -95,6 +95,21 @@ TEST(MsrRyzenDeathTest, SelectorBeyondDefinedSlotsFaults) {
   EXPECT_DEATH(msr.SelectPstate(0, 7), "GP");
 }
 
+// Per-core registers exist only for the package's cpus: a cpu number
+// outside it raises #GP instead of indexing past the per-core state.
+// Package-scope registers ignore the cpu number.
+TEST(MsrDeathTest, CoreIndexOutOfRangeFaults) {
+  Package skylake(SkylakeXeon4114());
+  MsrFile msr(&skylake);
+  EXPECT_DEATH(msr.WritePerfTargetMhz(12, Mhz{2000}), "GP");
+  EXPECT_DEATH(msr.Read(kMsrIa32Aperf, -1), "GP");
+  EXPECT_EQ(msr.Read(kMsrPkgEnergyStatus, 99), msr.Read(kMsrPkgEnergyStatus, 0));
+
+  Package ryzen(Ryzen1700X());
+  MsrFile amd(&ryzen);
+  EXPECT_DEATH(amd.SelectPstate(8, 0), "GP");
+}
+
 TEST(MsrRyzen, PstateDefAndSelect) {
   Package pkg(Ryzen1700X());
   MsrFile msr(&pkg);

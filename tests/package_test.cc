@@ -377,6 +377,16 @@ TEST(PackageDeathTest, SingleCoreWorkOutOfRange) {
   EXPECT_DEATH(pkg.AttachWork(-1, proc.get()), "core -1 out of range");
 }
 
+// The per-core setters index the per-core arrays directly; an out-of-range
+// core would write past them.
+TEST(PackageDeathTest, SetterCoreOutOfRange) {
+  Package pkg(SkylakeXeon4114());
+  EXPECT_DEATH(pkg.SetRequestedMhz(10, Mhz{2000}), "SetRequestedMhz: core 10 out of range");
+  EXPECT_DEATH(pkg.SetRequestedMhz(-1, Mhz{2000}), "SetRequestedMhz: core -1 out of range");
+  EXPECT_DEATH(pkg.SetOnline(12, false), "SetOnline: core 12 out of range");
+  EXPECT_DEATH(pkg.DetachWork(-3), "DetachWork: core -3 out of range");
+}
+
 TEST(PackageDeathTest, SingleCoreWorkOnMultiWorkMember) {
   Package pkg(SkylakeXeon4114());
   ListedWork multi({0, 1, 2});

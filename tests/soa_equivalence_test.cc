@@ -12,7 +12,10 @@
 // as a checksum mismatch on the very first divergent tick.  A fourth
 // scenario walks every input that invalidates an every-tick memo (PROCHOT,
 // RAPL, online toggles, detach/attach, multi-rate and back); its constants
-// were recorded from the engine before the memos existed.
+// were recorded from the engine before the memos existed.  A fifth pins the
+// open-loop serving socket the fleet runs (idle, saturated and offline
+// websearch lanes); its constants were recorded from the engine before the
+// fused price and settle kernels.
 //
 // The suite also asserts the refactor's other contracts: steady-state
 // Package::Tick performs zero heap allocations (single-core and multi-core
@@ -30,6 +33,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/perf_util.h"
+#include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/cpusim/package.h"
 #include "src/msr/msr.h"
@@ -77,12 +81,13 @@ void HashPackageTick(const Package& pkg, TickHash* hash) {
 
 bool PrintGolden() { return std::getenv("PAPD_PRINT_GOLDEN") != nullptr; }
 
-uint64_t EnergyBits(const Package& pkg) {
+uint64_t Bits(double v) {
   uint64_t bits;
-  const double e = pkg.package_energy_j().value();
-  std::memcpy(&bits, &e, sizeof(bits));
+  std::memcpy(&bits, &v, sizeof(bits));
   return bits;
 }
+
+uint64_t EnergyBits(const Package& pkg) { return Bits(pkg.package_energy_j().value()); }
 
 void CheckGolden(const char* label, uint64_t hash, uint64_t energy_bits,
                  uint64_t want_hash, uint64_t want_energy_bits) {
@@ -107,6 +112,8 @@ constexpr uint64_t kWebsearchHash = 0x8A71C852B46ACC44ull;
 constexpr uint64_t kWebsearchEnergyBits = 0x40767EFEC99EB284ull;
 constexpr uint64_t kInvalidationHash = 0xFFCFAF31E73A7E72ull;
 constexpr uint64_t kInvalidationEnergyBits = 0x408AAA2C9156631Eull;
+constexpr uint64_t kOpenLoopHash = 0x9F18709296C9FC48ull;
+constexpr uint64_t kOpenLoopEnergyBits = 0x407EB7D82236AEFBull;
 
 constexpr Seconds kTick{0.001};
 constexpr int kDaemonEveryTicks = 1000;  // 1 s daemon period.
@@ -348,6 +355,92 @@ GoldenRun RunInvalidationGolden(InvalidationCoverage* cov) {
   return run;
 }
 
+// What the open-loop serving scenario exercised, in websearch lane-ticks: its
+// golden only pins the serving paths if lanes sat idle, stayed busy for a
+// whole slice, finished their queue mid-slice, and read 0 MHz while offline.
+struct ServingCoverage {
+  int idle_lane_ticks = 0;
+  int saturated_lane_ticks = 0;
+  int partial_lane_ticks = 0;
+  int offline_lane_ticks = 0;
+  size_t peak_queue_depth = 0;
+};
+
+// A fleet-shaped serving socket: open-loop websearch on cores 0..8 and core 9
+// idle at the minimum P-state, under frequency shares.  A diurnal swing with
+// a 6 s period starts in its trough (most lanes idle), peaks over the
+// socket's capacity at the 45 W limit (queues grow, lanes stay busy for whole
+// slices).  One member goes offline (a 0 MHz lane) before the second peak,
+// until the daemon's next P-state program brings it back online.
+GoldenRun RunOpenLoopServingGolden(ServingCoverage* cov) {
+  const PlatformSpec spec = SkylakeXeon4114();
+  Package pkg(spec);
+  MsrFile msr(&pkg);
+  std::vector<int> ws_cores;
+  for (int c = 0; c < 9; c++) {
+    ws_cores.push_back(c);
+  }
+  WebSearch::Params params;
+  params.open_loop.enabled = true;
+  // A mean of 100 requests/s, swinging between 5 and 195.
+  params.open_loop.users = 100.0 * 86400.0 / params.open_loop.requests_per_user_per_day;
+  params.open_loop.shape = ArrivalShape::kDiurnal;
+  params.open_loop.diurnal_amplitude = 0.95;
+  params.open_loop.diurnal_period_s = Seconds{6.0};
+  params.open_loop.shape_phase_s = Seconds{4.5};
+  WebSearch websearch(ws_cores, params, /*seed=*/42);
+  pkg.AttachMultiWork(&websearch);
+  pkg.SetRequestedMhz(9, spec.min_mhz);
+
+  std::vector<ManagedApp> managed;
+  for (int c : ws_cores) {
+    managed.push_back(ManagedApp{.name = "websearch",
+                                 .cpu = c,
+                                 .shares = 1.0,
+                                 .high_priority = true,
+                                 .baseline_ips = Ips{3.0e9}});
+  }
+  DaemonConfig dcfg;
+  dcfg.kind = PolicyKind::kFrequencyShares;
+  dcfg.power_limit_w = Watts{45.0};
+  PowerDaemon daemon(&msr, managed, dcfg);
+  daemon.Start();
+
+  constexpr int kTicks = 12000;
+  constexpr int kOfflineCore = 4;
+  GoldenRun run;
+  TickHash hash;
+  for (int t = 1; t <= kTicks; t++) {
+    if (t == 7500) {
+      msr.SetCoreOnline(kOfflineCore, false);
+    }
+    pkg.Tick(kTick);
+    if (t % kDaemonEveryTicks == 0) {
+      daemon.Step();
+    }
+    HashPackageTick(pkg, &hash);
+    for (int c : ws_cores) {
+      const Core core = pkg.core(c);
+      const double busy = core.last_slice().busy_fraction;
+      if (!core.online()) {
+        cov->offline_lane_ticks++;
+      } else if (busy == 0.0) {
+        cov->idle_lane_ticks++;
+      } else if (busy == 1.0) {
+        cov->saturated_lane_ticks++;
+      } else {
+        cov->partial_lane_ticks++;
+      }
+    }
+  }
+  hash.Add(static_cast<double>(websearch.completed_requests()));
+  hash.Add(websearch.LatencyPercentile(90.0).value());
+  cov->peak_queue_depth = websearch.peak_queue_depth();
+  run.hash = hash.value();
+  run.energy_bits = EnergyBits(pkg);
+  return run;
+}
+
 // --- Tests --------------------------------------------------------------------
 
 // Scoped kernel override: packages constructed inside the scope use the named
@@ -403,6 +496,20 @@ TEST_P(SoaEquivalenceKernels, InvalidationScenarioMatchesGolden) {
   EXPECT_GT(cov.fast_ticks, 0u);
   CheckGolden("invalidation", run.hash, run.energy_bits, kInvalidationHash,
               kInvalidationEnergyBits);
+}
+
+TEST_P(SoaEquivalenceKernels, OpenLoopServingSocketMatchesGolden) {
+  ServingCoverage cov;
+  const GoldenRun run = RunOpenLoopServingGolden(&cov);
+  std::printf("open-loop serving: %d idle, %d saturated, %d partial, %d offline lane-ticks, "
+              "peak queue %zu\n",
+              cov.idle_lane_ticks, cov.saturated_lane_ticks, cov.partial_lane_ticks,
+              cov.offline_lane_ticks, cov.peak_queue_depth);
+  EXPECT_GT(cov.idle_lane_ticks, 0);
+  EXPECT_GT(cov.saturated_lane_ticks, 0);
+  EXPECT_GT(cov.partial_lane_ticks, 0);
+  EXPECT_GT(cov.offline_lane_ticks, 0);
+  CheckGolden("openloop", run.hash, run.energy_bits, kOpenLoopHash, kOpenLoopEnergyBits);
 }
 
 INSTANTIATE_TEST_SUITE_P(Kernels, SoaEquivalenceKernels,
@@ -547,6 +654,186 @@ TEST(SoaEquivalence, SteadyStateTickIsAllocationFree) {
     const long after = AllocationCount();
     EXPECT_EQ(after - before, 0) << "spinlock batch tick path allocated";
   }
+}
+
+// Every array the price and settle kernels read or write, for n lanes.
+struct KernelLanes {
+  explicit KernelLanes(size_t n)
+      : online(n), effective(n), slices(n), priced_mhz(n), priced_volts(n), priced_busy(n),
+        priced_activity(n), power(n), aperf(n), mperf(n), instructions(n), energy(n),
+        targets(n), temps(n) {}
+
+  std::vector<uint8_t> online;
+  std::vector<Mhz> effective;
+  std::vector<WorkSlice> slices;
+  std::vector<Mhz> priced_mhz;
+  std::vector<Volts> priced_volts;
+  std::vector<double> priced_busy;
+  std::vector<double> priced_activity;
+  std::vector<Watts> power;
+  std::vector<double> aperf;
+  std::vector<double> mperf;
+  std::vector<double> instructions;
+  std::vector<Joules> energy;
+  std::vector<Celsius> targets;
+  std::vector<Celsius> temps;
+};
+
+// Random lanes in a consistent priced state: offline lanes sit at 0 MHz with
+// the deep-C-state power; every online lane's power is what it was priced at,
+// and a random subset then moves its frequency, busy fraction or activity.
+// Temperatures start on both sides of their targets.
+KernelLanes RandomLanes(size_t n, const PlatformSpec& spec, const PowerModel& model, Rng* rng) {
+  const auto grid_mhz = [&spec, rng] {
+    const double steps = (spec.turbo_max_mhz - spec.min_mhz) / spec.step_mhz;
+    return spec.min_mhz + spec.step_mhz * static_cast<double>(rng->NextBelow(
+                                              static_cast<uint64_t>(steps) + 1));
+  };
+  const auto busy_fraction = [rng] {
+    const uint64_t pick = rng->NextBelow(4);
+    return pick == 0 ? 0.0 : pick == 1 ? 1.0 : pick == 2 ? 0.04 : rng->NextDouble();
+  };
+  KernelLanes l(n);
+  for (size_t i = 0; i < n; i++) {
+    l.online[i] = rng->NextBelow(4) != 0 ? 1 : 0;
+    l.priced_mhz[i] = grid_mhz();
+    l.priced_volts[i] = model.VoltsAt(l.priced_mhz[i]);
+    l.priced_busy[i] = busy_fraction();
+    l.priced_activity[i] = l.priced_busy[i] > 0.0 ? rng->Uniform(0.3, 1.0) : 0.0;
+    l.effective[i] = l.priced_mhz[i];
+    l.slices[i] = WorkSlice{.instructions = rng->Uniform(0.0, 3.0e6),
+                            .busy_fraction = l.priced_busy[i],
+                            .activity = l.priced_activity[i],
+                            .avx_fraction = 0.0};
+    switch (rng->NextBelow(5)) {  // 0 and 1 leave the lane unmoved.
+      case 2:
+        l.effective[i] = grid_mhz();
+        break;
+      case 3:
+        l.slices[i].busy_fraction = busy_fraction();
+        break;
+      case 4:
+        l.slices[i].activity = rng->Uniform(0.3, 1.0);
+        break;
+      default:
+        break;
+    }
+    if (l.online[i]) {
+      l.power[i] = model.CorePowerW(l.priced_mhz[i], l.priced_busy[i], l.priced_activity[i],
+                                    l.priced_volts[i]);
+    } else {
+      l.effective[i] = Mhz{0.0};
+      l.slices[i] = WorkSlice{};
+      l.power[i] = model.OfflineCorePowerW();
+    }
+    l.aperf[i] = rng->Uniform(0.0, 1.0e12);
+    l.mperf[i] = rng->Uniform(0.0, 1.0e12);
+    l.instructions[i] = rng->Uniform(0.0, 1.0e12);
+    l.energy[i] = Joules{rng->Uniform(0.0, 1.0e4)};
+    l.targets[i] = rng->Uniform(35.0, 95.0);
+    l.temps[i] = rng->Uniform(35.0, 95.0);
+  }
+  return l;
+}
+
+struct KernelRun {
+  simd::PriceResult price;
+  Celsius hottest = 0.0;
+};
+
+constexpr double kRelaxAlpha = 0.0123;
+constexpr Celsius kHottestFloorC = 35.5;
+
+// One tick of the two kernels, in the tick's order: price, then settle.
+KernelRun RunPriceAndSettle(const simd::TickKernels& k, const PlatformSpec& spec,
+                            const PowerModel& model, bool all, KernelLanes* l) {
+  const size_t n = l->online.size();
+  KernelRun run;
+  run.price = k.price(l->effective.data(), l->slices.data(), l->online.data(), model, all,
+                      simd::PricedLanes{l->priced_mhz.data(), l->priced_volts.data(),
+                                        l->priced_busy.data(), l->priced_activity.data()},
+                      l->power.data(), n);
+  run.hottest = k.settle(l->effective.data(), l->slices.data(), l->power.data(), spec.tsc_mhz,
+                         kTick,
+                         simd::CounterLanes{l->aperf.data(), l->mperf.data(),
+                                            l->instructions.data(), l->energy.data()},
+                         RelaxLanes{l->targets.data(), l->temps.data(), kRelaxAlpha,
+                                    kHottestFloorC},
+                         n);
+  return run;
+}
+
+// The AVX2 price and settle kernels equal the scalar table bit for bit at
+// every lane count from 1 to 13, so every tail length (n mod 4) and the
+// vector body with and without a tail are covered.  The scalar results are
+// also checked against what a full re-price of every online lane writes.
+TEST(SoaEquivalence, PriceAndSettleKernelsMatchScalarAtEveryLength) {
+  if (!simd::Avx2Available()) {
+    GTEST_SKIP() << "AVX2 kernels not available on this host/build";
+  }
+  const PlatformSpec spec = SkylakeXeon4114();
+  const PowerModel model(&spec);
+  const simd::TickKernels& scalar = simd::kScalarKernels;
+  ForcedKernels forced("avx2");
+  ASSERT_TRUE(forced.ok());
+  const simd::TickKernels& avx2 = simd::ActiveKernels();
+  ASSERT_STREQ(avx2.name, "avx2");
+
+  Rng rng(2024);
+  int unmoved_runs = 0;
+  for (size_t n = 1; n <= 13; n++) {
+    for (int trial = 0; trial < 200; trial++) {
+      const bool all = trial % 4 == 0;
+      const KernelLanes start = RandomLanes(n, spec, model, &rng);
+      KernelLanes want = start;
+      KernelLanes got = start;
+      const KernelRun w = RunPriceAndSettle(scalar, spec, model, all, &want);
+      const KernelRun g = RunPriceAndSettle(avx2, spec, model, all, &got);
+      SCOPED_TRACE(testing::Message() << "n=" << n << " trial=" << trial << " all=" << all);
+
+      bool any_moved = false;
+      int online_lanes = 0;
+      int busy_cores = 0;
+      Celsius hottest = kHottestFloorC;
+      for (size_t i = 0; i < n; i++) {
+        hottest = std::max(hottest, want.temps[i]);
+        if (!start.online[i]) {
+          continue;
+        }
+        online_lanes++;
+        any_moved |= all || start.effective[i] != start.priced_mhz[i] ||
+                     start.slices[i].busy_fraction != start.priced_busy[i] ||
+                     start.slices[i].activity != start.priced_activity[i];
+        busy_cores += start.slices[i].busy_fraction > 0.05 ? 1 : 0;
+        const Mhz f = start.effective[i];
+        const Watts full = model.CorePowerW(f, start.slices[i].busy_fraction,
+                                            start.slices[i].activity, model.VoltsAt(f));
+        ASSERT_EQ(Bits(want.power[i].value()), Bits(full.value())) << "lane " << i;
+      }
+      unmoved_runs += (online_lanes > 0 && !any_moved) ? 1 : 0;
+      ASSERT_EQ(w.price.moved, any_moved);
+      ASSERT_EQ(w.price.busy_cores, busy_cores);
+      ASSERT_EQ(Bits(w.hottest), Bits(hottest));
+
+      ASSERT_EQ(g.price.moved, w.price.moved);
+      ASSERT_EQ(g.price.busy_cores, w.price.busy_cores);
+      ASSERT_EQ(Bits(g.hottest), Bits(w.hottest));
+      for (size_t i = 0; i < n; i++) {
+        SCOPED_TRACE(testing::Message() << "lane " << i);
+        ASSERT_EQ(Bits(got.power[i].value()), Bits(want.power[i].value()));
+        ASSERT_EQ(Bits(got.priced_mhz[i].value()), Bits(want.priced_mhz[i].value()));
+        ASSERT_EQ(Bits(got.priced_volts[i].value()), Bits(want.priced_volts[i].value()));
+        ASSERT_EQ(Bits(got.priced_busy[i]), Bits(want.priced_busy[i]));
+        ASSERT_EQ(Bits(got.priced_activity[i]), Bits(want.priced_activity[i]));
+        ASSERT_EQ(Bits(got.aperf[i]), Bits(want.aperf[i]));
+        ASSERT_EQ(Bits(got.mperf[i]), Bits(want.mperf[i]));
+        ASSERT_EQ(Bits(got.instructions[i]), Bits(want.instructions[i]));
+        ASSERT_EQ(Bits(got.energy[i].value()), Bits(want.energy[i].value()));
+        ASSERT_EQ(Bits(got.temps[i]), Bits(want.temps[i]));
+      }
+    }
+  }
+  EXPECT_GT(unmoved_runs, 0) << "no run left every online lane unmoved";
 }
 
 // Multi-rate ticking must also stay off the heap: fast ticks, resyncs and

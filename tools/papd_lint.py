@@ -645,7 +645,10 @@ SIMD_DIR = "src/cpusim/simd/"
 # x86 vector intrinsics and types: _mm_*/_mm256_*/... calls, __m128/__m256/
 # __m512 (and integer/double variants) types, and the umbrella header.
 INTRINSIC_IDENT_RE = re.compile(r"^(_mm\w*|__m\d+\w*)$")
-SIMD_KERNEL_DEF_RE = re.compile(r"\b(?:void|int)\s+([A-Za-z0-9_]+)(Avx2|Scalar)\s*\(")
+# A kernel definition starts its line with its return type (any type name:
+# kernels return void, counts, structs or temperatures); indented calls and
+# the table initializers do not match.
+SIMD_KERNEL_DEF_RE = re.compile(r"^(?:[A-Za-z_][\w:]*\s+)+([A-Za-z0-9_]+)(Avx2|Scalar)\s*\(")
 
 
 @repo_rule(
