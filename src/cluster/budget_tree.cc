@@ -1,11 +1,12 @@
 #include "src/cluster/budget_tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <iterator>
-#include <unordered_map>
+#include <map>
 #include <utility>
 
 #include "src/common/check.h"
@@ -192,27 +193,36 @@ void BudgetTree::BuildReplicaClasses() {
   if (!config_.tick.memoize_replicas) {
     return;
   }
-  // Key: the full socket-configuration hash plus the initial grant bits.
-  // Two leaves with equal keys run bit-identical simulations for as long as
-  // their grants stay bitwise equal, so one representative (the lowest
-  // pre-order member) can stand in for the whole class each period.
-  std::unordered_map<uint64_t, int> by_key;
+  // A leaf joins a class when its socket config equals the representative's
+  // and its initial grant matches bitwise.  Such leaves run bit-identical
+  // simulations for as long as their grants stay bitwise equal, so one
+  // representative (the lowest pre-order member) can stand in for the whole
+  // class each period.  Classes are bucketed by seed and grant bits, so a
+  // leaf is compared only with the representatives that could match;
+  // equality alone decides membership.
+  std::map<std::pair<uint64_t, uint64_t>, std::vector<int>> buckets;
   for (int leaf : leaves_) {
     const Node& node = nodes_[static_cast<size_t>(leaf)];
-    uint64_t key = HashSocketConfig(*node.socket_cfg);
-    const double grant = AsResourceUnits(node.grant_w);
-    uint64_t grant_bits = 0;
-    static_assert(sizeof grant_bits == sizeof grant);
-    std::memcpy(&grant_bits, &grant, sizeof grant_bits);
-    key = (key ^ grant_bits) * 1099511628211ULL;  // FNV-1a fold.
-    const auto [it, fresh] = by_key.emplace(key, static_cast<int>(classes_.size()));
-    if (fresh) {
+    const RackSocketConfig& socket = *node.socket_cfg;
+    std::vector<int>& bucket =
+        buckets[{socket.seed, std::bit_cast<uint64_t>(AsResourceUnits(node.grant_w))}];
+    int cls = -1;
+    for (int c : bucket) {
+      const int rep = classes_[static_cast<size_t>(c)].rep;
+      if (*nodes_[static_cast<size_t>(rep)].socket_cfg == socket) {
+        cls = c;
+        break;
+      }
+    }
+    if (cls < 0) {
+      cls = static_cast<int>(classes_.size());
+      bucket.push_back(cls);
       classes_.emplace_back();
       classes_.back().rep = leaf;
       classes_.back().grant_log.reserve(4);
     }
-    classes_[static_cast<size_t>(it->second)].members.push_back(leaf);
-    node_class_[static_cast<size_t>(leaf)] = it->second;
+    classes_[static_cast<size_t>(cls)].members.push_back(leaf);
+    node_class_[static_cast<size_t>(leaf)] = cls;
   }
 }
 

@@ -178,10 +178,11 @@ class BudgetTree {
   double share_bias(int node) const { return share_bias_[static_cast<size_t>(node)]; }
 
   // --- Replica memoization (config_.tick.memoize_replicas) --------------
-  // Leaves are grouped into equivalence classes by HashSocketConfig plus
-  // the initial grant bits; only one representative per class is simulated
-  // each period, and its measurement fans out to the class.  A member whose
-  // grant diverges from its representative's (bitwise) is materialized by
+  // Leaves are grouped into equivalence classes: equal socket configs
+  // (RackSocketConfig::operator==, every field) and bitwise-equal initial
+  // grants.  Only one representative per class is simulated each period,
+  // and its measurement fans out to the class.  A member whose grant
+  // diverges from its representative's (bitwise) is materialized by
   // replaying the representative's recorded grant run-lengths, then steps
   // independently from that period on.
   int num_replica_classes() const { return static_cast<int>(classes_.size()); }

@@ -288,14 +288,6 @@ void Fleet::ResetStats() {
   max_overrun_w_ = Watts{0.0};
 }
 
-size_t Fleet::total_violations() const {
-  size_t total = 0;
-  for (size_t v : violations_) {
-    total += v;
-  }
-  return total;
-}
-
 FleetResult Fleet::Collect() {
   FleetResult result;
   result.periods = window_periods_;

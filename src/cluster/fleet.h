@@ -165,7 +165,6 @@ class Fleet {
   size_t violations(int socket) const {
     return violations_[static_cast<size_t>(socket)];
   }
-  size_t total_violations() const;
   double share_bias(int node) const { return tree_->share_bias(node); }
   obs::MetricsRegistry& metrics() { return metrics_; }
 

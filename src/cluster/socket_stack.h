@@ -12,6 +12,7 @@
 #ifndef SRC_CLUSTER_SOCKET_STACK_H_
 #define SRC_CLUSTER_SOCKET_STACK_H_
 
+#include <concepts>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -54,6 +55,11 @@ const char* RackArbiterKindName(RackArbiterKind kind);
 // a fixed app mix under its own PowerDaemon.  SocketStack reads the platform,
 // workload and seed fields; the budget tree reads the rest (policy, audit,
 // shares and bounds) when it configures a leaf's daemon and arbitrates.
+//
+// Equality is field by field over every member, nested structs included
+// (the compiler lists the fields, so a new one is compared without anyone
+// remembering to).  Two sockets with equal configs evolve identically under
+// equal grant histories: BudgetTree's replica classes are built on this.
 struct RackSocketConfig {
   PlatformSpec platform;
   std::vector<AppSetup> apps;
@@ -85,19 +91,18 @@ struct RackSocketConfig {
   bool with_cpuburn = false;
   double websearch_shares = 90.0;
   double cpuburn_shares = 10.0;
+
+  bool operator==(const RackSocketConfig&) const = default;
 };
+
+// A member type without operator== would make the defaulted one deleted;
+// this fails the build here instead of at a distant comparison.
+static_assert(std::equality_comparable<RackSocketConfig>);
 
 // Budget floor / ceiling an arbiter uses for this socket (explicit config
 // value, or derived from the platform).
 Watts SocketFloorW(const RackSocketConfig& cfg);
 Watts SocketCeilingW(const RackSocketConfig& cfg);
-
-// FNV-1a hash over every simulation-relevant field of the config (platform
-// spec, app mix, policy, shares, bounds, seed, flags).  Two sockets with
-// equal hashes evolve identically under equal grant histories — the replica
-// memoization key (BudgetTree groups leaves by this plus the initial grant
-// bits).
-uint64_t HashSocketConfig(const RackSocketConfig& cfg);
 
 // Aborts when the configured floor exceeds the ceiling.  Arbiters clamp
 // demand claims with std::clamp(demand, floor, ceiling), which is UB on an
@@ -150,13 +155,11 @@ struct SocketStack {
   // updates the hold state machine.
   void StepDaemonHeld();
 
-  TickOptions tick_opts_;
   int quiet_streak_ = 0;
   // Snapshot when the hold engaged / after the last live step.
   uint64_t held_epoch_ = 0;
   Watts last_limit_w_{0.0};
   Watts held_power_w_{0.0};
-  int held_periods_since_recheck_ = 0;
 };
 
 }  // namespace papd

@@ -38,7 +38,6 @@ class PAPD_CAPABILITY("mutex") Mutex {
 
   void Lock() PAPD_ACQUIRE() { mu_.lock(); }
   void Unlock() PAPD_RELEASE() { mu_.unlock(); }
-  bool TryLock() PAPD_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

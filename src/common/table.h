@@ -33,8 +33,6 @@ class TextTable {
   // Writes RFC-4180-ish CSV (quotes cells containing commas/quotes).
   void WriteCsv(std::ostream& os) const;
 
-  size_t num_rows() const { return rows_.size(); }
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

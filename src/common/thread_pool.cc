@@ -1,9 +1,8 @@
 #include "src/common/thread_pool.h"
 
-#include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
-#include <string>
 
 #include "src/common/check.h"
 
@@ -70,28 +69,12 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::CheckNotWorker(const char* what) const {
-  if (tls_current_pool == this) {
-    throw std::logic_error(std::string(what) +
-                           " called from a worker of the same ThreadPool "
-                           "(nested submission deadlocks a fixed-size pool)");
-  }
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  CheckNotWorker("ThreadPool::Submit");
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> result = task->get_future();
-  {
-    MutexLock lock(mu_);
-    queue_.push([task] { (*task)(); });
-  }
-  cv_.NotifyOne();
-  return result;
-}
-
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
-  CheckNotWorker("ThreadPool::ParallelFor");
+  if (tls_current_pool == this) {
+    throw std::logic_error(
+        "ThreadPool::ParallelFor called from a worker of the same ThreadPool "
+        "(nested submission deadlocks a fixed-size pool)");
+  }
   if (n == 0) {
     return;
   }

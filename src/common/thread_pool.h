@@ -13,16 +13,15 @@
 // execution (ParallelFor then runs inline on the caller).
 //
 // Nested submission is rejected: a task running on a pool worker may not
-// submit to (or ParallelFor on) the same pool, because with a fixed worker
-// count that deadlocks once all workers block on children.  Submit/
-// ParallelFor throw std::logic_error in that case.
+// ParallelFor on the same pool, because with a fixed worker count that
+// deadlocks once all workers block on children.  ParallelFor throws
+// std::logic_error in that case.
 
 #ifndef SRC_COMMON_THREAD_POOL_H_
 #define SRC_COMMON_THREAD_POOL_H_
 
 #include <cstddef>
 #include <functional>
-#include <future>
 #include <queue>
 #include <thread>
 #include <vector>
@@ -46,11 +45,6 @@ class ThreadPool {
   // PAPD_JOBS env override if positive, else hardware_concurrency (min 1).
   static int DefaultJobs();
 
-  // Enqueues a task; the future completes when it finishes (exceptions are
-  // captured into the future).  Throws std::logic_error when called from a
-  // worker of this pool.
-  std::future<void> Submit(std::function<void()> fn) PAPD_EXCLUDES(mu_);
-
   // Runs fn(0..n-1) across the pool and blocks until all complete.  The
   // first exception (by lowest index) is rethrown on the caller.  Runs
   // inline on the caller when n <= 1 or the pool has a single worker —
@@ -61,7 +55,6 @@ class ThreadPool {
 
  private:
   void WorkerLoop() PAPD_EXCLUDES(mu_);
-  void CheckNotWorker(const char* what) const;
 
   std::vector<std::thread> workers_;
   mutable Mutex mu_;

@@ -76,7 +76,6 @@ class Package {
 
   const PlatformSpec& spec() const { return spec_; }
   const PowerModel& power_model() const { return power_model_; }
-  const PStateTable& pstates() const { return pstates_; }
 
   int num_cores() const { return static_cast<int>(cores_.size()); }
   // Read-only view of core i; mutations go through the Set* methods below.
@@ -148,7 +147,6 @@ class Package {
   };
 
   void SetTickPolicy(TickPolicy policy, int max_hold_ticks = kDefaultMaxHoldTicks);
-  TickPolicy tick_policy() const { return tick_policy_; }
   const TickStats& tick_stats() const { return tick_stats_; }
   // Kernel table actually driving the tick passes ("scalar" or "avx2").
   const char* tick_kernel_name() const { return kernels_->name; }
@@ -282,12 +280,13 @@ class Package {
 };
 
 // Tick-engine knobs plumbed through RunOptions (experiments) and
-// BudgetTreeConfig (cluster): which tick policy drives Package::Tick and the multi-rate hold
-// horizon, plus the socket/cluster-granularity extensions (kMultiRate only;
-// both are ignored under kEveryTick).
+// BudgetTreeConfig (cluster): which tick policy drives Package::Tick, plus
+// the socket/cluster-granularity extensions (kMultiRate only; both are
+// ignored under kEveryTick).
 struct TickOptions {
   TickPolicy policy = TickPolicy::kEveryTick;
-  int max_hold_ticks = Package::kDefaultMaxHoldTicks;
+  // Multi-rate hold horizon SocketStack passes to Package::SetTickPolicy.
+  static constexpr int max_hold_ticks = Package::kDefaultMaxHoldTicks;
 
   // Socket-level steady-state hold: SocketStack advances whole control
   // periods through Package::AdvanceSteady segments, and skips the daemon
@@ -301,15 +300,15 @@ struct TickOptions {
   // Relative band around the power measured when the daemon hold engaged;
   // leaving it forces a resync (the workload mix changed enough that the
   // daemon must re-observe).
-  double hold_power_band = 0.03;
-  // > 0: additionally force a live daemon step every this many held
-  // periods. 0 (default) trusts the band + epoch predicates alone, which
-  // keeps held periods allocation-free.
-  int hold_recheck_periods = 0;
+  static constexpr double hold_power_band = 0.03;
+  // Held periods between forced live daemon steps: none.  The band and
+  // epoch predicates alone end a hold, which keeps held periods
+  // allocation-free.
+  static constexpr int hold_recheck_periods = 0;
 
   // Replica memoization (BudgetTree): simulate one representative socket
-  // per equivalence class (identical RackSocketConfig hash + identical
-  // grant history) and fan its measurements out to the replicas.  Replicas
+  // per equivalence class (equal RackSocketConfig + identical grant
+  // history) and fan its measurements out to the replicas.  Replicas
   // are materialized on demand — by grant divergence or a leaf-internals
   // accessor — by replaying the representative's recorded grant run-lengths.
   bool memoize_replicas = false;

@@ -33,14 +33,6 @@ const TickKernels* AutoKernels() {
 
 }  // namespace
 
-bool Avx2CompiledIn() {
-#if defined(PAPD_SIMD_AVX2)
-  return true;
-#else
-  return false;
-#endif
-}
-
 bool Avx2Available() {
 #if defined(PAPD_SIMD_AVX2)
   return __builtin_cpu_supports("avx2");

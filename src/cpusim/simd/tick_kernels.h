@@ -126,8 +126,6 @@ struct TickKernels {
 // The bit-exact reference implementation; always available.
 extern const TickKernels kScalarKernels;
 
-// True when the AVX2 kernel TU was compiled in (PAPD_SIMD=ON + -mavx2).
-bool Avx2CompiledIn();
 // True when the AVX2 kernels are compiled in AND this CPU supports AVX2.
 bool Avx2Available();
 

@@ -73,20 +73,4 @@ void Simulator::RunCoarse(Seconds duration_s) {
   }
 }
 
-bool Simulator::RunUntil(const std::function<bool()>& done, Seconds max_duration_s,
-                         Seconds check_period_s) {
-  const Seconds end{package_->now() + max_duration_s};
-  Seconds next_check_s{package_->now()};  // Always check before the first tick.
-  while (package_->now() + Seconds{1e-12} < end) {
-    if (package_->now() + Seconds{1e-12} >= next_check_s) {
-      if (done()) {
-        return true;
-      }
-      next_check_s = package_->now() + check_period_s;
-    }
-    StepOnce();
-  }
-  return done();
-}
-
 }  // namespace papd

@@ -56,16 +56,6 @@ class Simulator {
   // TickOptions::socket_hold.
   void RunCoarse(Seconds duration_s);
 
-  // Runs until the predicate returns true or until `max_duration_s`
-  // elapses.  Returns true if the predicate fired.  By default the
-  // predicate is evaluated once per tick; a positive `check_period_s`
-  // evaluates it only every that much simulated time — coarse predicates
-  // ("has the workload finished?") do not need a std::function call per
-  // millisecond.  The predicate is always checked before the first tick
-  // and once more at the deadline.
-  bool RunUntil(const std::function<bool()>& done, Seconds max_duration_s,
-                Seconds check_period_s = Seconds{0.0});
-
  private:
   struct Periodic {
     Seconds period_s;

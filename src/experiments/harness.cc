@@ -139,28 +139,46 @@ void MeasureSocket(
   reduce(s, start, end);
 }
 
+// One cached standalone run: the spec it ran on and what it measured.
+struct CachedBaseline {
+  PlatformSpec platform;
+  StandaloneBaseline baseline;
+};
+
+// The baseline cached for a spec equal to `platform`, or nullptr.
+const StandaloneBaseline* FindBaseline(const std::vector<CachedBaseline>& entries,
+                                       const PlatformSpec& platform) {
+  for (const CachedBaseline& entry : entries) {
+    if (entry.platform == platform) {
+      return &entry.baseline;
+    }
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 StandaloneBaseline Standalone(const PlatformSpec& platform, const std::string& profile) {
   // The cache is shared across scenario threads (RunScenarios fan-out); the
-  // mutex guards lookups and inserts.  Returned by value so no reference to
+  // mutex guards lookups and inserts.  Entries are filed by (platform name,
+  // profile), and a lookup hits only on a spec equal in every field, so a
+  // modified preset gets its own run.  Returned by value so no reference to
   // the guarded map escapes the lock scope.
   static Mutex mu;
-  static std::map<std::pair<std::string, std::string>, StandaloneBaseline> cache
+  static std::map<std::pair<std::string, std::string>, std::vector<CachedBaseline>> cache
       PAPD_GUARDED_BY(mu);
   const auto key = std::make_pair(platform.name, profile);
   {
     MutexLock lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) {
-      return it->second;
+    if (const StandaloneBaseline* hit = FindBaseline(cache[key], platform)) {
+      return *hit;
     }
   }
 
   // Simulate outside the lock: a baseline costs ~35 simulated seconds, and
   // concurrent first callers should not serialize on it.  The values are
-  // deterministic, so racing computations produce identical entries and
-  // emplace() lets the first writer win.
+  // deterministic, so racing computations produce identical entries and the
+  // first writer wins.
   Package pkg(platform);
   Process proc(GetProfile(profile), /*seed=*/1);
   pkg.AttachWork(0, &proc);
@@ -182,7 +200,12 @@ StandaloneBaseline Standalone(const PlatformSpec& platform, const std::string& p
   b.pkg_w = (end.pkg_energy - start.pkg_energy) / dt;
   b.core_w = (end.core_energy[0] - start.core_energy[0]) / dt;
   MutexLock lock(mu);
-  return cache.emplace(key, b).first->second;
+  std::vector<CachedBaseline>& entries = cache[key];
+  if (const StandaloneBaseline* hit = FindBaseline(entries, platform)) {
+    return *hit;
+  }
+  entries.push_back(CachedBaseline{.platform = platform, .baseline = b});
+  return b;
 }
 
 DaemonConfig ToDaemonConfig(const ScenarioConfig& config) {

@@ -28,6 +28,8 @@ struct AppSetup {
   std::string profile;
   double shares = 1.0;
   bool high_priority = false;
+
+  bool operator==(const AppSetup&) const = default;
 };
 
 // Daemon-facing behavior knobs, grouped (these used to be loose flags
@@ -157,9 +159,10 @@ ScenarioResult RunScenario(const ScenarioConfig& config);
 void AddResourceShares(ScenarioResult* result);
 
 // Standalone baseline: the app alone on core 0 of the platform,
-// unconstrained, requesting the maximum P-state.  Cached per
-// (platform, profile); returned by value so the cache's lock discipline
-// stays internal.
+// unconstrained, requesting the maximum P-state.  Cached per (platform
+// spec, profile): a spec that differs from a cached one in any field, even
+// under the same name, gets its own run.  Returned by value so the cache's
+// lock discipline stays internal.
 struct StandaloneBaseline {
   Ips ips;
   Mhz active_mhz;

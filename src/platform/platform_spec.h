@@ -27,6 +27,8 @@ namespace papd {
 struct TurboStep {
   int max_active_cores;
   Mhz mhz;
+
+  bool operator==(const TurboStep&) const = default;
 };
 
 // Coefficients of the analytic power model (see src/cpusim/power_model.h):
@@ -46,6 +48,8 @@ struct PowerModelParams {
   Watts cstate_idle_w;
   Watts uncore_base_w;
   Watts uncore_per_active_w;
+
+  bool operator==(const PowerModelParams&) const = default;
 };
 
 // Lumped RC thermal parameters (see src/cpusim/thermal.h).
@@ -55,6 +59,8 @@ struct PlatformThermal {
   double spread_fraction = 0.08;
   Seconds tau_s{3.0};
   double tj_max_c = 95.0;
+
+  bool operator==(const PlatformThermal&) const = default;
 };
 
 struct PlatformSpec {
@@ -105,6 +111,12 @@ struct PlatformSpec {
 
   // AVX frequency cap given the number of AVX-active cores.
   Mhz AvxCapMhz(int avx_active_cores) const;
+
+  // Field-by-field value equality: two specs are equal only when every
+  // field above is, so a modified preset never compares equal to its
+  // original (the standalone-baseline cache and the replica classes rely on
+  // this).
+  bool operator==(const PlatformSpec&) const = default;
 };
 
 // Intel Xeon SP 4114 (one socket of the paper's two-socket machine):

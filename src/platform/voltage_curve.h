@@ -19,6 +19,8 @@ class VoltageCurve {
   struct Point {
     Mhz mhz;
     Volts volts;
+
+    bool operator==(const Point&) const = default;
   };
 
   // Points must be strictly increasing in frequency; at least one required.
@@ -29,6 +31,9 @@ class VoltageCurve {
 
   Volts min_volts() const { return points_.front().volts; }
   Volts max_volts() const { return points_.back().volts; }
+
+  // Compares every point, the interior ones included.
+  bool operator==(const VoltageCurve&) const = default;
 
  private:
   std::vector<Point> points_;

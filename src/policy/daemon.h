@@ -167,9 +167,6 @@ class PowerDaemon {
   // No older sample is kept; metrics() rows hold the per-period series.
   const TelemetrySample& last_sample() const { return last_sample_; }
 
-  // Platform constants handed to the policies (exposed for tests).
-  const PolicyPlatform& policy_platform() const { return platform_; }
-
   // The invariant auditor, or nullptr when config.audit is false.
   PolicyAuditor* auditor() { return auditor_.get(); }
 

@@ -65,9 +65,6 @@ class SaturationDetector {
   // saturation detected.
   Mhz UsefulMaxMhz(size_t app_index) const;
 
-  // True if the given app is being probed this period (test/debug hook).
-  bool ProbingApp(size_t app_index) const { return probe_app_ == static_cast<int>(app_index); }
-
  private:
   struct AppState {
     int gap_streak = 0;

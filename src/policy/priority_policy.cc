@@ -43,17 +43,6 @@ bool PriorityPolicy::AnyRunningAbove(const std::vector<ManagedApp>& apps, bool h
   return false;
 }
 
-bool PriorityPolicy::AnyRunningBelow(const std::vector<ManagedApp>& apps, bool high_priority,
-                                     Mhz threshold) const {
-  for (size_t i = 0; i < apps.size(); i++) {
-    if (apps[i].high_priority == high_priority && targets_[i] != kStopped &&
-        targets_[i] < threshold - Mhz{1e-9}) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool PriorityPolicy::AnyBelowCeiling(const std::vector<ManagedApp>& apps,
                                      bool high_priority) const {
   for (size_t i = 0; i < apps.size(); i++) {

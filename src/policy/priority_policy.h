@@ -61,8 +61,6 @@ class PriorityPolicy {
   bool AnyRunning(const std::vector<ManagedApp>& apps, bool high_priority) const;
   bool AnyRunningAbove(const std::vector<ManagedApp>& apps, bool high_priority,
                        Mhz threshold) const;
-  bool AnyRunningBelow(const std::vector<ManagedApp>& apps, bool high_priority,
-                       Mhz threshold) const;
   // True if any running app in the class sits below its own frequency
   // ceiling (platform max tightened by HWP hints).
   bool AnyBelowCeiling(const std::vector<ManagedApp>& apps, bool high_priority) const;

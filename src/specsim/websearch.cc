@@ -2,11 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/check.h"
 #include "src/common/stats.h"
 
 namespace papd {
+namespace {
+
+// Mean open-loop arrival rate, requests/s, before shape modulation.
+double MeanArrivalRate(const WebSearch::OpenLoop& ol) {
+  return ol.users * ol.requests_per_user_per_day / 86400.0;
+}
+
+}  // namespace
 
 const char* ArrivalShapeName(ArrivalShape shape) {
   switch (shape) {
@@ -24,10 +33,19 @@ WebSearch::WebSearch(std::vector<int> cores, Params params, uint64_t seed)
   queues_.resize(cores_.size());
   backlog_cycles_.assign(cores_.size(), 0.0);
   if (params_.open_loop.enabled) {
-    // First exogenous arrival; later gaps are sampled as each arrival is
-    // admitted, so the sequence depends only on the seed and the shape.
-    const double rate = ArrivalRateAt(Seconds{0.0});
-    next_arrival_ = rng_.Exponential(Seconds{1.0 / rate});
+    const OpenLoop& ol = params_.open_loop;
+    if (ol.shape == ArrivalShape::kDiurnal) {
+      // A rate that goes negative is not a swing around the mean, and a
+      // rate that is NaN everywhere would make thinning reject forever.
+      PAPD_CHECK(ol.diurnal_amplitude >= 0.0 && ol.diurnal_amplitude <= 1.0)
+          << " diurnal amplitude must lie in [0, 1], got " << ol.diurnal_amplitude;
+      PAPD_CHECK(ol.diurnal_period_s > Seconds{0.0} && IsFinite(ol.shape_phase_s))
+          << " diurnal period must be positive and phase finite, got "
+          << ol.diurnal_period_s << " s and " << ol.shape_phase_s << " s";
+    }
+    // First exogenous arrival; each later one is drawn as its predecessor
+    // is admitted, so the sequence depends only on the seed and the shape.
+    next_arrival_ = NextArrivalAfter(Seconds{0.0});
   } else {
     // Users start thinking with independent phases so load ramps smoothly.
     for (int u = 0; u < params_.users; u++) {
@@ -72,20 +90,37 @@ double WebSearch::ArrivalRateAt(Seconds t) const {
   if (!ol.enabled) {
     return 0.0;
   }
-  const double mean = ol.users * ol.requests_per_user_per_day / 86400.0;
-  double multiplier = 1.0;
+  const double mean = MeanArrivalRate(ol);
   switch (ol.shape) {
     case ArrivalShape::kConstant:
       break;
     case ArrivalShape::kDiurnal: {
       const double phase = (t + ol.shape_phase_s) / ol.diurnal_period_s;
-      multiplier = 1.0 + ol.diurnal_amplitude * std::sin(2.0 * M_PI * phase);
-      break;
+      return mean * (1.0 + ol.diurnal_amplitude * std::sin(2.0 * M_PI * phase));
     }
   }
-  // Floor keeps the Poisson gap sampler finite through rate troughs
-  // (amplitude >= 1).
-  return std::max(mean * multiplier, 1e-9);
+  return mean;
+}
+
+Seconds WebSearch::NextArrivalAfter(Seconds t) {
+  const OpenLoop& ol = params_.open_loop;
+  const double mean = MeanArrivalRate(ol);
+  if (!(mean > 0.0)) {
+    return Seconds{std::numeric_limits<double>::infinity()};  // No load: never.
+  }
+  if (ol.shape == ArrivalShape::kConstant) {
+    return t + rng_.Exponential(Seconds{1.0 / mean});
+  }
+  // Lewis-Shedler thinning: candidates arrive at the peak rate, and each is
+  // kept with probability rate(candidate) / peak.  The kept arrivals follow
+  // the modulated rate exactly, through a trough at zero too.
+  const double peak = mean * (1.0 + ol.diurnal_amplitude);
+  for (;;) {
+    t += rng_.Exponential(Seconds{1.0 / peak});
+    if (rng_.NextDouble() * peak < ArrivalRateAt(t)) {
+      return t;
+    }
+  }
 }
 
 void WebSearch::AdmitOpenLoopArrivals(Seconds end) {
@@ -95,10 +130,7 @@ void WebSearch::AdmitOpenLoopArrivals(Seconds end) {
     if (params_.open_loop.record_arrivals) {
       arrival_log_.push_back(t);  // PAPD_HOT_ALLOW: test-only arrival log.
     }
-    // The rate is evaluated at the arrival being extended; the shape varies
-    // over hours while gaps are milliseconds, so piecewise-exponential gaps
-    // track the modulated rate closely.
-    next_arrival_ = t + rng_.Exponential(Seconds{1.0 / ArrivalRateAt(t)});
+    next_arrival_ = NextArrivalAfter(t);
   }
 }
 

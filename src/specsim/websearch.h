@@ -52,13 +52,17 @@ class WebSearch : public MultiCoreWork {
     double users = 1e6;
     double requests_per_user_per_day = 20.0;
     ArrivalShape shape = ArrivalShape::kConstant;
-    // kDiurnal: rate = mean * (1 + amplitude * sin(2*pi*(t + phase)/period)).
+    // kDiurnal: rate = mean * (1 + amplitude * sin(2*pi*(t + phase)/period)),
+    // amplitude in [0, 1], period > 0 and phase finite (checked at
+    // construction).
     double diurnal_amplitude = 0.5;
     Seconds diurnal_period_s{86400.0};
     Seconds shape_phase_s{0.0};
     // Keep the exact arrival timestamps (tests assert bit-identical
     // sequences across thread counts); off by default — fleets run long.
     bool record_arrivals = false;
+
+    bool operator==(const OpenLoop&) const = default;
   };
 
   struct Params {
@@ -77,6 +81,8 @@ class WebSearch : public MultiCoreWork {
     // Dynamic-power activity factor while serving.
     double activity = 0.65;
     OpenLoop open_loop;
+
+    bool operator==(const Params&) const = default;
   };
 
   WebSearch(std::vector<int> cores, Params params, uint64_t seed);
@@ -108,8 +114,6 @@ class WebSearch : public MultiCoreWork {
   // Requests admitted since construction (open loop) or think-timer
   // expiries (closed loop).
   uint64_t arrivals() const { return arrivals_; }
-  // Requests currently queued or in service across all worker cores.
-  size_t queue_depth() const { return outstanding_; }
   size_t peak_queue_depth() const { return peak_queue_depth_; }
   // Time-weighted mean queue depth over the recorded window.
   double mean_queue_depth() const;
@@ -151,6 +155,12 @@ class WebSearch : public MultiCoreWork {
 
   // Admits every open-loop arrival with timestamp <= `end`.
   void AdmitOpenLoopArrivals(Seconds end);
+
+  // Draws the first open-loop arrival after `t`: one exponential gap at the
+  // mean rate (kConstant), or the first kept candidate of a thinned
+  // peak-rate process (kDiurnal).  +infinity when the mean rate is not
+  // positive.
+  Seconds NextArrivalAfter(Seconds t);
 
   std::vector<int> cores_;
   Params params_;

@@ -8,7 +8,8 @@
 //      the same tree simulating every leaf — including through a breaker
 //      fault that forces replica materialization mid-run — and a package
 //      advanced through AdvanceSteady segments reproduces the equivalent
-//      multi-rate Tick loop's energy and clock to the bit.
+//      multi-rate Tick loop's energy and clock to the bit.  Sockets whose
+//      configs differ in any one field never share a replica class.
 //
 //   2. Resync coverage: each event kind that invalidates a socket hold
 //      (grant change, fault-plan arming, work attachment) forces a live
@@ -27,6 +28,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -216,6 +218,100 @@ TEST(ReplicaMemoization, AccessorMaterializesOnDemand) {
   EXPECT_EQ(tree.num_live_leaves(), 2);
   tree.Step();  // The materialized leaf keeps stepping independently.
   EXPECT_EQ(tree.num_live_leaves(), 2);
+}
+
+// --- Replica memoization: class membership ------------------------------------
+
+// The socket of a share-split Skylake rack.
+RackSocketConfig SplitSocket() {
+  RackSocketConfig cfg{.platform = SkylakeXeon4114()};
+  cfg.apps = ShareSplitMix(cfg.platform.num_cores, 70.0, 30.0).apps;
+  cfg.use_baseline_ips = false;
+  return cfg;
+}
+
+// A closed-loop websearch serving socket.
+RackSocketConfig ServingSocket() {
+  return RackSocketConfig{.platform = SkylakeXeon4114(), .websearch = true};
+}
+
+// An open-loop serving socket whose arrivals swing over a 6 s period.
+RackSocketConfig DiurnalServingSocket() {
+  RackSocketConfig cfg = ServingSocket();
+  WebSearch::OpenLoop& ol = cfg.websearch_params.open_loop;
+  ol.enabled = true;
+  ol.users = 150.0 * 86400.0 / ol.requests_per_user_per_day;  // 150 requests/s mean.
+  ol.shape = ArrivalShape::kDiurnal;
+  ol.diurnal_period_s = Seconds{6.0};
+  return cfg;
+}
+
+struct ConfigMutation {
+  const char* name;
+  RackSocketConfig (*base)();
+  void (*mutate)(RackSocketConfig*);
+};
+
+// One field changed per case, nested structs included.
+const ConfigMutation kConfigMutations[] = {
+    {"voltage middle point", SplitSocket,
+     [](RackSocketConfig* c) {
+       c->platform.voltage = VoltageCurve(
+           {{Mhz{800}, Volts{0.65}}, {Mhz{2200}, Volts{1.10}}, {Mhz{3000}, Volts{1.15}}});
+     }},
+    {"turbo step", SplitSocket,
+     [](RackSocketConfig* c) { c->platform.turbo_ladder[1].mhz = Mhz{2800}; }},
+    {"thermal tau", SplitSocket,
+     [](RackSocketConfig* c) { c->platform.thermal.tau_s = Seconds{2.0}; }},
+    {"ceff", SplitSocket,
+     [](RackSocketConfig* c) { c->platform.power.ceff_w_per_v2ghz *= 1.5; }},
+    {"one app's shares", SplitSocket, [](RackSocketConfig* c) { c->apps[3].shares = 90.0; }},
+    {"seed", SplitSocket, [](RackSocketConfig* c) { c->seed = 43; }},
+    {"websearch think_mean_s", ServingSocket,
+     [](RackSocketConfig* c) { c->websearch_params.think_mean_s = Seconds{2.5}; }},
+    {"open_loop.shape_phase_s", DiurnalServingSocket,
+     [](RackSocketConfig* c) { c->websearch_params.open_loop.shape_phase_s = Seconds{1.5}; }},
+};
+
+uint64_t WattBits(Watts w) { return std::bit_cast<uint64_t>(w.value()); }
+
+// A memoized two-socket rack {a, b} forms `want_classes` replica classes,
+// and every period each socket's measured power equals, bit for bit, the
+// same rack simulating both sockets.
+void ExpectMemoMatchesFullRack(const RackSocketConfig& a, const RackSocketConfig& b,
+                               int want_classes) {
+  const Watts kBudget{170.0};
+  BudgetTreeConfig memo_cfg = MakeFlatRack({a, b}, kBudget);
+  memo_cfg.tick.memoize_replicas = true;
+  BudgetTree memo(memo_cfg);
+  BudgetTree full(MakeFlatRack({a, b}, kBudget));
+  EXPECT_EQ(memo.num_replica_classes(), want_classes);
+  for (int period = 1; period <= 5; period++) {
+    memo.Step();
+    full.Step();
+    for (int leaf = 1; leaf <= 2; leaf++) {
+      EXPECT_EQ(WattBits(memo.measured_w(leaf)), WattBits(full.measured_w(leaf)))
+          << "socket " << leaf - 1 << " period " << period << ": memoized "
+          << memo.measured_w(leaf) << " W, simulated " << full.measured_w(leaf) << " W";
+    }
+  }
+}
+
+// Replica classes are config equality: sockets differing in any one field
+// never share a class, and identical sockets always do.
+TEST(ReplicaMemoization, ClassesSplitOnAnyConfigDifference) {
+  for (RackSocketConfig (*base)() : {SplitSocket, ServingSocket, DiurnalServingSocket}) {
+    SCOPED_TRACE("unmutated pair");
+    ExpectMemoMatchesFullRack(base(), base(), /*want_classes=*/1);
+  }
+  for (const ConfigMutation& m : kConfigMutations) {
+    SCOPED_TRACE(m.name);
+    const RackSocketConfig a = m.base();
+    RackSocketConfig b = a;
+    m.mutate(&b);
+    ASSERT_FALSE(a == b);
+    ExpectMemoMatchesFullRack(a, b, /*want_classes=*/2);
+  }
 }
 
 // --- AdvanceSteady: closed-form golden --------------------------------------

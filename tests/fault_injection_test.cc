@@ -9,9 +9,11 @@
 
 #include <algorithm>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
+#include "src/cluster/socket_stack.h"
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
 #include "src/experiments/batch.h"
@@ -21,6 +23,7 @@
 #include "src/msr/fault_plan.h"
 #include "src/msr/msr.h"
 #include "src/policy/daemon.h"
+#include "src/policy/policy_registry.h"
 #include "src/specsim/spec2017.h"
 #include "src/specsim/workload.h"
 
@@ -464,6 +467,76 @@ TEST(FaultInjection, WebsearchDegradeKnobReachesDaemon) {
   EXPECT_EQ(r[1].fault_stats.invalid_samples, 0);
   EXPECT_GT(InjectedFaults(r[1].fault_counts), 0);
 }
+
+// --- Fault-free baseline ------------------------------------------------------
+
+// Every preset under every programming policy it supports.
+struct CleanCase {
+  std::string preset;
+  PlatformSpec (*spec)();
+  PolicyKind policy;
+};
+
+// Keeps the ctest names free of the raw parameter bytes (a pointer).
+void PrintTo(const CleanCase& c, std::ostream* os) {
+  *os << c.preset << " " << PolicyKindName(c.policy);
+}
+
+std::vector<CleanCase> CleanCases() {
+  const std::pair<const char*, PlatformSpec (*)()> presets[] = {
+      {"skylake", SkylakeXeon4114},
+      {"ryzen", Ryzen1700X},
+      {"xeon64", ManyCoreXeon64},
+      {"epyc128", ManyCoreEpyc128},
+  };
+  std::vector<CleanCase> cases;
+  for (const auto& [preset, spec] : presets) {
+    for (PolicyKind policy : {PolicyKind::kPriority, PolicyKind::kFrequencyShares,
+                              PolicyKind::kPerformanceShares, PolicyKind::kStatic,
+                              PolicyKind::kPowerShares}) {
+      if (policy != PolicyKind::kPowerShares || spec().has_per_core_power) {
+        cases.push_back(CleanCase{.preset = preset, .spec = spec, .policy = policy});
+      }
+    }
+  }
+  return cases;
+}
+
+class FaultFreeRun : public ::testing::TestWithParam<CleanCase> {};
+
+// With no fault injected, every P-state program verifies: the daemon never
+// holds, never falls back, and never arms the RAPL safety net.
+TEST_P(FaultFreeRun, ProgramsCleanly) {
+  const CleanCase& c = GetParam();
+  if (c.preset == "epyc128" && c.policy != PolicyKind::kPriority &&
+      c.policy != PolicyKind::kStatic) {
+    GTEST_SKIP() << "ManyCoreEpyc128's 25 MHz targets never verify against the 100 MHz "
+                    "PERF_CTL read-back (ROADMAP item 1)";
+  }
+  RackSocketConfig socket{.platform = c.spec()};
+  socket.apps = ManyCoreSpreadMix(socket.platform.num_cores, /*rotate=*/0).apps;
+  socket.policy = c.policy;
+  DaemonConfig dcfg;
+  dcfg.kind = c.policy;
+  dcfg.power_limit_w = (SocketFloorW(socket) + SocketCeilingW(socket)) / 2.0;
+  SocketStack stack(socket, dcfg, FaultPlan{}, Seconds{0.001}, TickOptions{});
+  for (int second = 1; second <= 15; second++) {
+    stack.AdvancePeriod(Seconds{1.0});
+    EXPECT_FALSE(stack.pkg.rapl().enabled()) << "safety net armed at " << second << " s";
+  }
+  const DaemonFaultStats& stats = stack.daemon->fault_stats();
+  EXPECT_EQ(stats.failed_programs, 0);
+  EXPECT_EQ(stats.held_periods, 0);
+  EXPECT_EQ(stats.fallback_periods, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, FaultFreeRun, ::testing::ValuesIn(CleanCases()),
+                         [](const ::testing::TestParamInfo<CleanCase>& info) {
+                           std::string name =
+                               info.param.preset + "_" + PolicyKindName(info.param.policy);
+                           std::replace(name.begin(), name.end(), '-', '_');
+                           return name;
+                         });
 
 }  // namespace
 }  // namespace papd

@@ -60,6 +60,37 @@ TEST(Standalone, ConcurrentCallsAreSafe) {
   }
 }
 
+// The cache is keyed by the whole spec: a modified preset keeps its name but
+// must not get the preset's baseline, and an equal spec gets the cached one.
+TEST(Standalone, ModifiedSpecGetsItsOwnBaseline) {
+  const PlatformSpec preset = SkylakeXeon4114();
+  PlatformSpec hotter = preset;
+  hotter.power.ceff_w_per_v2ghz *= 1.5;
+  PlatformSpec slower = preset;
+  slower.turbo_max_mhz = Mhz{2200};
+
+  const StandaloneBaseline base = Standalone(preset, "leela");
+  const StandaloneBaseline hot = Standalone(hotter, "leela");
+  const StandaloneBaseline slow = Standalone(slower, "leela");
+  // More switched capacitance at the same frequency: more power, same work.
+  EXPECT_GT(hot.pkg_w, base.pkg_w);
+  EXPECT_GT(hot.core_w, base.core_w);
+  // A lower turbo ceiling: less work.
+  EXPECT_LT(slow.ips, base.ips);
+  EXPECT_LT(slow.active_mhz, base.active_mhz);
+
+  // Equal specs, built separately, read the cached entries bit for bit, and
+  // the preset's entry survived the other two inserts.
+  PlatformSpec hotter_again = SkylakeXeon4114();
+  hotter_again.power.ceff_w_per_v2ghz *= 1.5;
+  const StandaloneBaseline hot_again = Standalone(hotter_again, "leela");
+  EXPECT_EQ(hot_again.ips, hot.ips);
+  EXPECT_EQ(hot_again.pkg_w, hot.pkg_w);
+  const StandaloneBaseline base_again = Standalone(SkylakeXeon4114(), "leela");
+  EXPECT_EQ(base_again.ips, base.ips);
+  EXPECT_EQ(base_again.pkg_w, base.pkg_w);
+}
+
 TEST(Standalone, AvxAppCappedBelowTurbo) {
   const auto& cam4 = Standalone(SkylakeXeon4114(), "cam4");
   EXPECT_LE(cam4.active_mhz, SkylakeXeon4114().avx_max_mhz_light + Mhz{1.0});

@@ -56,25 +56,6 @@ TEST(Simulator, MultiplePeriodicsFireInRegistrationOrder) {
   EXPECT_EQ(order[1], 2);
 }
 
-TEST(Simulator, RunUntilStopsOnPredicate) {
-  Package pkg(SkylakeXeon4114());
-  Process proc(GetProfile("gcc"), 1);
-  pkg.AttachWork(0, &proc);
-  Simulator sim(&pkg);
-  const bool hit =
-      sim.RunUntil([&proc] { return proc.instructions_retired() > 1e8; }, Seconds{10.0});
-  EXPECT_TRUE(hit);
-  EXPECT_LT(sim.now(), Seconds{1.0});  // ~50 ms of work at >1 GIPS.
-}
-
-TEST(Simulator, RunUntilTimesOut) {
-  Package pkg(SkylakeXeon4114());
-  Simulator sim(&pkg);
-  const bool hit = sim.RunUntil([] { return false; }, Seconds{0.2});
-  EXPECT_FALSE(hit);
-  EXPECT_NEAR(sim.now().value(), 0.2, 1e-6);
-}
-
 TEST(Simulator, CustomTickSize) {
   Package pkg(SkylakeXeon4114());
   Simulator sim(&pkg, /*tick_s=*/Seconds{0.01});

@@ -15,7 +15,9 @@
 // were recorded from the engine before the memos existed.  A fifth pins the
 // open-loop serving socket the fleet runs (idle, saturated and offline
 // websearch lanes); its constants were recorded from the engine before the
-// fused price and settle kernels.
+// fused price and settle kernels, and re-recorded once when diurnal
+// arrivals moved to peak-rate thinning (the arrival stream changed, not the
+// engine).
 //
 // The suite also asserts the refactor's other contracts: steady-state
 // Package::Tick performs zero heap allocations (single-core and multi-core
@@ -112,8 +114,8 @@ constexpr uint64_t kWebsearchHash = 0x8A71C852B46ACC44ull;
 constexpr uint64_t kWebsearchEnergyBits = 0x40767EFEC99EB284ull;
 constexpr uint64_t kInvalidationHash = 0xFFCFAF31E73A7E72ull;
 constexpr uint64_t kInvalidationEnergyBits = 0x408AAA2C9156631Eull;
-constexpr uint64_t kOpenLoopHash = 0x9F18709296C9FC48ull;
-constexpr uint64_t kOpenLoopEnergyBits = 0x407EB7D82236AEFBull;
+constexpr uint64_t kOpenLoopHash = 0xFD2FEA25B1566E21ull;
+constexpr uint64_t kOpenLoopEnergyBits = 0x407DA65F29F188F9ull;
 
 constexpr Seconds kTick{0.001};
 constexpr int kDaemonEveryTicks = 1000;  // 1 s daemon period.

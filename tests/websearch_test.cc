@@ -151,5 +151,31 @@ TEST(WebSearch, ResetStatsClearsWindow) {
   EXPECT_DOUBLE_EQ(ws.LatencyPercentile(90).value(), 0.0);
 }
 
+// Open-loop diurnal arrivals at `amplitude` around a 100 requests/s mean,
+// 60 s period, starting at the trough.
+WebSearch::Params DiurnalParams(double amplitude) {
+  WebSearch::Params params;
+  WebSearch::OpenLoop& ol = params.open_loop;
+  ol.enabled = true;
+  ol.users = 100.0 * 86400.0 / ol.requests_per_user_per_day;
+  ol.shape = ArrivalShape::kDiurnal;
+  ol.diurnal_amplitude = amplitude;
+  ol.diurnal_period_s = Seconds{60.0};
+  ol.shape_phase_s = Seconds{45.0};  // sin = -1 at t = 0.
+  return params;
+}
+
+// A full-depth swing reaches a zero rate at the trough; arrivals must
+// resume as the rate rises, so two whole periods admit the mean load.
+TEST(WebSearch, DiurnalArrivalsRecoverFromZeroRateTrough) {
+  WebSearch ws(NineCores(), DiurnalParams(1.0), 7);
+  RunAt(&ws, Mhz{3000}, Seconds{0}, Seconds{120});
+  EXPECT_NEAR(static_cast<double>(ws.arrivals()), 12000.0, 0.05 * 12000.0);
+}
+
+TEST(WebSearchDeathTest, DiurnalAmplitudeAboveOneAborts) {
+  EXPECT_DEATH(WebSearch(NineCores(), DiurnalParams(1.5), 7), "diurnal amplitude");
+}
+
 }  // namespace
 }  // namespace papd

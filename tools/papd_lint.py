@@ -499,11 +499,6 @@ VALUE_UNWRAP_WHITELIST = (
     # boundary; everything outside the kernel bodies stays in unit types.
     "src/cpusim/simd/",
     "src/platform/voltage_curve.cc",
-    # Replica-memoization config hashing (HashSocketConfig) folds the raw
-    # bit patterns of unit-typed fields into an FNV-1a digest, and the
-    # steady-state hold band compares magnitudes — both serialization-style
-    # boundaries, like the MSR register file.
-    "src/cluster/socket_stack.cc",
     # Sweep expansion/serialization: axis labels ("cap=270w") and the JSON
     # artifact are printf boundaries, the same class as src/obs/ exporters.
     "src/experiments/sweep.cc",
