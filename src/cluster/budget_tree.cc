@@ -143,6 +143,9 @@ BudgetTree::BudgetTree(BudgetTreeConfig config) : config_(std::move(config)) {
   Flatten(config_.root, /*parent=*/-1, /*level=*/0);
   PAPD_CHECK(!leaves_.empty());
   PAPD_CHECK_LT(nodes_.size(), size_t{1} << 15);  // Shards are int16_t.
+  // Static and held leaves register no daemon periodic, so nothing else
+  // would reject a period that never advances time.
+  PAPD_CHECK_GT(config_.control_period_s, Seconds{0.0});
   DeriveBounds();
   share_bias_.assign(nodes_.size(), 1.0);
 
@@ -417,48 +420,27 @@ void BudgetTree::PrepareMemoPeriod() {
   }
 }
 
-void BudgetTree::EnsureShardTeam(int threads) {
-  const int want = std::max(1, std::min(threads, static_cast<int>(leaves_.size())));
-  if (team_ != nullptr && team_->shards() == want) {
-    return;
-  }
-  team_.reset();
-  shards_.assign(static_cast<size_t>(want), ShardArena{});
-  const size_t n = leaves_.size();
-  for (int s = 0; s < want; s++) {
-    // Static contiguous partition: leaves_ is in pre-order, so each shard
-    // covers a topology-contiguous run of sockets (subtree locality).
-    shards_[static_cast<size_t>(s)].begin = static_cast<int>(n * static_cast<size_t>(s) /
-                                                             static_cast<size_t>(want));
-    shards_[static_cast<size_t>(s)].end = static_cast<int>(n * (static_cast<size_t>(s) + 1) /
-                                                           static_cast<size_t>(want));
-  }
-  team_ = std::make_unique<ShardTeam>(want, [this](int shard) {
-    ShardArena& arena = shards_[static_cast<size_t>(shard)];
-    for (int k = arena.begin; k < arena.end; k++) {
-      if (leaf_live_[static_cast<size_t>(k)] != 0) {
-        nodes_[static_cast<size_t>(leaves_[static_cast<size_t>(k)])].stack->AdvancePeriod(
-            config_.control_period_s);
-        arena.periods_advanced++;
-      }
-    }
-  });
-}
-
-// PAPD_HOT — the steady-state fan-out reuses the persistent team; no tasks
-// are enqueued and nothing is allocated.
+// PAPD_HOT — one ParallelFor per period over static contiguous leaf ranges.
+// The body captures only `this` and `shards`, which std::function stores
+// inline, so the fan-out allocates nothing.
 void BudgetTree::AdvanceLiveLeaves(ThreadPool* pool) {
-  const int threads = pool != nullptr ? pool->num_threads() : 1;
-  if (threads <= 1 || leaves_.size() <= 1) {
-    for (size_t k = 0; k < leaves_.size(); k++) {
+  const size_t shards =
+      pool != nullptr ? std::min(static_cast<size_t>(pool->num_threads()), leaves_.size()) : 1;
+  const auto advance_shard = [this, shards](size_t s) {
+    // leaves_ is in pre-order, so each shard covers a topology-contiguous
+    // run of sockets (subtree locality).
+    const size_t n = leaves_.size();
+    for (size_t k = n * s / shards; k < n * (s + 1) / shards; k++) {
       if (leaf_live_[k] != 0) {
         nodes_[static_cast<size_t>(leaves_[k])].stack->AdvancePeriod(config_.control_period_s);
       }
     }
-    return;
+  };
+  if (shards == 1) {
+    advance_shard(0);
+  } else {
+    pool->ParallelFor(shards, advance_shard);
   }
-  EnsureShardTeam(threads);
-  team_->RunOnce();
 }
 
 Watts BudgetTree::EffectiveCeiling(int node, bool use_demand) const {
@@ -609,8 +591,9 @@ void BudgetTree::RecordHistory() {
 }
 
 // PAPD_HOT — the 128k-core steady-state step must not touch the heap:
-// replicas are served by fan-out, live leaves run on the persistent shard
-// team, and the control plane below uses hoisted scratch throughout.
+// replicas are served by fan-out, live leaves fan out through one
+// allocation-free ParallelFor, and the control plane below uses hoisted
+// scratch throughout.
 void BudgetTree::Step(ThreadPool* pool) {
   if (!classes_.empty()) {
     PrepareMemoPeriod();

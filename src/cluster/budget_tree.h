@@ -124,11 +124,12 @@ class BudgetTree {
   // Advances every leaf one control period (in parallel when `pool` is
   // given, else serially — results bit-identical either way), aggregates
   // measurements up, runs the fault ladder, and re-arbitrates grants down.
-  // A non-null pool only contributes its thread *count*: leaves run on a
-  // persistent ShardTeam with static, topology-contiguous leaf->thread
-  // partitions (built on first parallel Step; rebuilt only when the count
-  // changes), so the steady-state step enqueues nothing and allocates
-  // nothing.
+  // A non-null pool gets one ParallelFor per period over min(workers,
+  // leaves) static, topology-contiguous leaf ranges, so the steady-state
+  // step allocates nothing.  The pool must not be the one running the
+  // caller (ParallelFor then throws std::logic_error, once there are two or
+  // more ranges), and steps of several trees sharing one pool from
+  // different threads take turns each period.
   void Step(ThreadPool* pool = nullptr);
 
   // --- Topology (flat pre-order indexing; parent index < child index) ---
@@ -236,7 +237,6 @@ class BudgetTree {
   // Builds leaf `node`'s socket under `grant_w`: the one place a leaf's
   // daemon is configured, so a materialized replica matches a live leaf.
   std::unique_ptr<SocketStack> MakeLeafStack(int node, Watts grant_w) const;
-  void EnsureShardTeam(int threads);
   void AdvanceLiveLeaves(ThreadPool* pool);
   void RecordHistory();
 
@@ -256,16 +256,6 @@ class BudgetTree {
   uint64_t memo_leaf_periods_ = 0;
   uint64_t total_leaf_periods_ = 0;
 
-  // Persistent leaf sharding: static contiguous partitions of leaves_
-  // (pre-order contiguity keeps each shard inside one subtree) plus a
-  // per-shard arena the shard alone touches while the team runs.
-  struct ShardArena {
-    int begin = 0;  // leaves_ index range [begin, end).
-    int end = 0;
-    uint64_t periods_advanced = 0;
-  };
-  std::vector<ShardArena> shards_;
-  std::unique_ptr<ShardTeam> team_;
   std::vector<uint8_t> leaf_live_;  // Per leaves_ index: step this period?
 
   // Hoisted arbitration scratch: the control plane runs every period at
@@ -288,6 +278,8 @@ struct BudgetTreeResult {
   Seconds avg_arbiter_wall_s{0.0};
 };
 
+// Steps through `warmup_s`, then measures over `measure_s`, stepping on
+// `pool` as BudgetTree::Step does, under the same rules for the pool.
 BudgetTreeResult RunBudgetTree(const BudgetTreeConfig& config, Seconds warmup_s,
                                Seconds measure_s, ThreadPool* pool = nullptr);
 

@@ -152,6 +152,8 @@ class Fleet {
   Fleet& operator=(const Fleet&) = delete;
 
   // One control period: tree step, per-socket window stats, SLO feedback.
+  // The tree steps on `pool` as BudgetTree::Step does: the pool must not be
+  // the one running the caller, and concurrent steps on one pool take turns.
   void Step(ThreadPool* pool = nullptr);
 
   // Drops latency/violation accounting and the latency histograms (call
@@ -207,7 +209,8 @@ class Fleet {
   std::vector<obs::Histogram*> latency_hist_;  // Per socket, seconds.
 };
 
-// Warmup + measure driver, mirroring RunBudgetTree / RunScenario.
+// Warmup, then a measured window, mirroring RunBudgetTree / RunScenario.
+// Steps on `pool` as Fleet::Step does, under the same rules for the pool.
 FleetResult RunFleet(const FleetConfig& cfg, Seconds warmup_s, Seconds measure_s,
                      ThreadPool* pool = nullptr);
 

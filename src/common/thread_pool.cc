@@ -1,10 +1,9 @@
 #include "src/common/thread_pool.h"
 
+#include <climits>
 #include <cstdlib>
-#include <exception>
 #include <stdexcept>
-
-#include "src/common/check.h"
+#include <utility>
 
 namespace papd {
 namespace {
@@ -30,7 +29,7 @@ ThreadPool::~ThreadPool() {
     MutexLock lock(mu_);
     stopping_ = true;
   }
-  cv_.NotifyAll();
+  work_cv_.NotifyAll();
   for (std::thread& t : workers_) {
     t.join();
   }
@@ -41,8 +40,10 @@ int ThreadPool::DefaultJobs() {
   // the mt-unsafe getenv cannot race a setenv from another thread of ours.
   if (const char* env = std::getenv("PAPD_JOBS")) {  // NOLINT(concurrency-mt-unsafe)
     char* end = nullptr;
-    const long jobs = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && jobs > 0) {
+    // Out-of-range input saturates at LLONG_MIN/LLONG_MAX, which the range
+    // check below rejects along with everything else an int cannot hold.
+    const long long jobs = std::strtoll(env, &end, 10);
+    if (end != env && *end == '\0' && jobs >= 1 && jobs <= INT_MAX) {
       return static_cast<int>(jobs);
     }
   }
@@ -52,33 +53,55 @@ int ThreadPool::DefaultJobs() {
 
 void ThreadPool::WorkerLoop() {
   tls_current_pool = this;
+  // The body and index this worker ran last (fn is null before its first
+  // claim), reported back together with the next claim so each index costs
+  // one lock acquisition.
+  const std::function<void(size_t)>* fn = nullptr;
+  size_t index = 0;
+  std::exception_ptr error;
   for (;;) {
-    std::function<void()> task;
     {
       MutexLock lock(mu_);
-      while (!stopping_ && queue_.empty()) {
-        cv_.Wait(mu_);
+      if (fn != nullptr) {
+        // The slot cannot change hands before this index reports, so the
+        // report always lands on the batch it was claimed from.
+        if (error && (!error_ || index < error_index_)) {
+          error_ = std::move(error);
+          error_index_ = index;
+        }
+        error = nullptr;
+        if (++done_ == n_) {
+          done_cv_.NotifyAll();
+        }
       }
-      if (queue_.empty()) {
-        return;  // stopping_ and drained.
+      while (!stopping_ && (fn_ == nullptr || next_ == n_)) {
+        work_cv_.Wait(mu_);
       }
-      task = std::move(queue_.front());
-      queue_.pop();
+      if (stopping_) {
+        return;  // No batch is in flight once the destructor runs.
+      }
+      fn = fn_;
+      index = next_++;
+      if (next_ != n_) {
+        work_cv_.NotifyOne();  // Pass the wakeup on (see ParallelFor).
+      }
     }
-    task();
+    try {
+      (*fn)(index);
+    } catch (...) {
+      error = std::current_exception();
+    }
   }
 }
 
+// PAPD_HOT — the budget tree fans its leaves out here every control period.
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (tls_current_pool == this) {
     throw std::logic_error(
         "ThreadPool::ParallelFor called from a worker of the same ThreadPool "
         "(nested submission deadlocks a fixed-size pool)");
   }
-  if (n == 0) {
-    return;
-  }
-  if (n == 1 || num_threads() == 1) {
+  if (n <= 1 || num_threads() == 1) {
     // Inline serial path: identical results by the no-shared-state
     // contract, and no cross-thread hop for trivial batches.
     for (size_t i = 0; i < n; i++) {
@@ -87,113 +110,40 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     return;
   }
 
-  // `state` lives on the caller's stack: workers must never touch it after
-  // the caller's wait returns, so the counter is decremented and the
-  // completion notified *under* done_mu — the waiter cannot observe
-  // remaining == 0 until the last worker has released the mutex.
-  struct BatchState {
-    std::vector<std::exception_ptr> errors;
-    Mutex done_mu;
-    CondVar done_cv;
-    size_t remaining PAPD_GUARDED_BY(done_mu) = 0;
-  };
-  BatchState state;
-  state.errors.resize(n);
-  {
-    MutexLock init_lock(state.done_mu);
-    state.remaining = n;
-  }
-
   {
     MutexLock lock(mu_);
-    for (size_t i = 0; i < n; i++) {
-      queue_.push([&state, &fn, i] {
-        try {
-          fn(i);
-        } catch (...) {
-          state.errors[i] = std::current_exception();
-        }
-        MutexLock done_lock(state.done_mu);
-        if (--state.remaining == 0) {
-          state.done_cv.NotifyOne();
-        }
-      });
+    while (fn_ != nullptr) {
+      done_cv_.Wait(mu_);  // Another thread's batch holds the slot.
     }
+    fn_ = &fn;
+    n_ = n;
+    next_ = 0;
+    done_ = 0;
   }
-  cv_.NotifyAll();
-
+  // Wake one worker; each claim that leaves indices unclaimed wakes the
+  // next.  Waking every worker at once lets the scheduler queue two of them
+  // on one CPU while another sits idle, which runs two of the budget tree's
+  // equal leaf ranges back to back and doubles its step.
+  work_cv_.NotifyOne();
+  std::exception_ptr error;
   {
-    MutexLock done_lock(state.done_mu);
-    while (state.remaining != 0) {
-      state.done_cv.Wait(state.done_mu);
+    MutexLock lock(mu_);
+    while (done_ != n_) {
+      done_cv_.Wait(mu_);
     }
+    fn_ = nullptr;
+    error = std::exchange(error_, nullptr);
   }
+  done_cv_.NotifyAll();  // Wake a caller waiting for the slot.
 
-  for (std::exception_ptr& e : state.errors) {
-    if (e) {
-      std::rethrow_exception(e);
-    }
+  if (error) {
+    std::rethrow_exception(error);
   }
 }
 
 ThreadPool& GlobalThreadPool() {
   static ThreadPool pool(ThreadPool::DefaultJobs());
   return pool;
-}
-
-ShardTeam::ShardTeam(int shards, std::function<void(int shard)> body)
-    : body_(std::move(body)) {
-  PAPD_CHECK_GE(shards, 1);
-  workers_.reserve(static_cast<size_t>(shards));
-  for (int s = 0; s < shards; s++) {
-    workers_.emplace_back([this, s] { WorkerLoop(s); });
-  }
-}
-
-ShardTeam::~ShardTeam() {
-  {
-    MutexLock lock(mu_);
-    stopping_ = true;
-  }
-  start_cv_.NotifyAll();
-  for (std::thread& t : workers_) {
-    t.join();
-  }
-}
-
-// PAPD_HOT
-void ShardTeam::RunOnce() {
-  {
-    MutexLock lock(mu_);
-    generation_++;
-    running_ = shards();
-  }
-  start_cv_.NotifyAll();
-  MutexLock lock(mu_);
-  while (running_ != 0) {
-    done_cv_.Wait(mu_);
-  }
-}
-
-void ShardTeam::WorkerLoop(int shard) {
-  uint64_t seen = 0;
-  for (;;) {
-    {
-      MutexLock lock(mu_);
-      while (!stopping_ && generation_ == seen) {
-        start_cv_.Wait(mu_);
-      }
-      if (stopping_) {
-        return;
-      }
-      seen = generation_;
-    }
-    body_(shard);
-    MutexLock lock(mu_);
-    if (--running_ == 0) {
-      done_cv_.NotifyOne();
-    }
-  }
 }
 
 }  // namespace papd

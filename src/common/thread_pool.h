@@ -2,13 +2,21 @@
 //
 // The experiment stack replays dozens of *independent* simulated scenarios
 // (each owns its Package / Simulator / RNG), so the natural unit of
-// parallelism is a whole scenario.  The pool is deliberately minimal: a
-// fixed worker count chosen at construction, a task queue, and ParallelFor.
-// Determinism is the caller's contract — tasks must not share mutable
-// state — and the pool guarantees only scheduling, never ordering.
+// parallelism is a whole scenario; the budget tree fans its leaves out on
+// the same pool every control period.  The pool is deliberately minimal: a
+// fixed worker count chosen at construction and a heap-free fork/join,
+// ParallelFor.  A call publishes its body and index count in the pool's one
+// batch slot and wakes one worker; workers claim the indices one at a time,
+// each claim that leaves some unclaimed waking one more worker, and the
+// caller blocks until every index has finished.  Determinism is the
+// caller's contract — indices must not share mutable state — and the pool
+// guarantees only scheduling, never ordering.
+//
+// One call runs on a pool at a time: a ParallelFor from a second thread
+// waits until the batch in flight finishes before it publishes its own.
 //
 // Worker count resolution (ThreadPool::DefaultJobs): the PAPD_JOBS
-// environment variable if set to a positive integer, otherwise
+// environment variable if set to an integer in [1, INT_MAX], otherwise
 // std::thread::hardware_concurrency().  PAPD_JOBS=1 forces serial
 // execution (ParallelFor then runs inline on the caller).
 //
@@ -21,8 +29,8 @@
 #define SRC_COMMON_THREAD_POOL_H_
 
 #include <cstddef>
+#include <exception>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -42,15 +50,17 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  // PAPD_JOBS env override if positive, else hardware_concurrency (min 1).
+  // PAPD_JOBS env override if in [1, INT_MAX], else hardware_concurrency
+  // (min 1).
   static int DefaultJobs();
 
   // Runs fn(0..n-1) across the pool and blocks until all complete.  The
-  // first exception (by lowest index) is rethrown on the caller.  Runs
-  // inline on the caller when n <= 1 or the pool has a single worker —
-  // bit-identical to a plain serial loop either way, provided the body only
-  // touches state owned by its index.  Throws std::logic_error when called
-  // from a worker of this pool.
+  // first exception (by lowest index) is rethrown on the caller once every
+  // index has run.  Runs inline on the caller when n <= 1 or the pool has a
+  // single worker — bit-identical to a plain serial loop either way,
+  // provided the body only touches state owned by its index.  Allocates
+  // nothing.  Throws std::logic_error when called from a worker of this
+  // pool.
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn) PAPD_EXCLUDES(mu_);
 
  private:
@@ -58,53 +68,22 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   mutable Mutex mu_;
-  CondVar cv_;
-  std::queue<std::function<void()>> queue_ PAPD_GUARDED_BY(mu_);
+  CondVar work_cv_;  // One worker: the batch has unclaimed indices; all: stop.
+  CondVar done_cv_;  // Callers: the batch finished, or the slot came free.
+  // The one batch in flight.  A non-null fn_ marks the slot busy; it points
+  // at the caller's body, which outlives every index of the batch.
+  const std::function<void(size_t)>* fn_ PAPD_GUARDED_BY(mu_) = nullptr;
+  size_t n_ PAPD_GUARDED_BY(mu_) = 0;
+  size_t next_ PAPD_GUARDED_BY(mu_) = 0;  // Next index to claim.
+  size_t done_ PAPD_GUARDED_BY(mu_) = 0;  // Indices finished.
+  size_t error_index_ PAPD_GUARDED_BY(mu_) = 0;
+  std::exception_ptr error_ PAPD_GUARDED_BY(mu_);  // From the lowest index that threw.
   bool stopping_ PAPD_GUARDED_BY(mu_) = false;
 };
 
 // Process-wide pool, constructed on first use with DefaultJobs() workers.
 // Intended for the batch experiment APIs; tests build their own pools.
 ThreadPool& GlobalThreadPool();
-
-// Persistent fork/join team for repeated identical fan-outs.
-//
-// ThreadPool::ParallelFor allocates per call (queue nodes, std::function
-// closures, a shared batch block) — fine for scenario batches, fatal for a
-// steady-state cluster step that must be allocation-free.  A ShardTeam
-// fixes the body and the shard count at construction: RunOnce() bumps a
-// generation counter, wakes the persistent workers, and blocks until every
-// shard reports done, touching no heap at all.  The body runs as
-// body(shard) for shard in [0, shards); it must not throw (a PAPD_CHECK
-// abort is the only supported failure) and must only touch state owned by
-// its shard.  RunOnce() is not reentrant and must always be called from the
-// same single controlling thread.
-class ShardTeam {
- public:
-  ShardTeam(int shards, std::function<void(int shard)> body);
-  ~ShardTeam();
-
-  ShardTeam(const ShardTeam&) = delete;
-  ShardTeam& operator=(const ShardTeam&) = delete;
-
-  int shards() const { return static_cast<int>(workers_.size()); }
-
-  // Runs body(0..shards-1) once across the persistent workers and blocks
-  // until all complete.  Performs no heap allocation.
-  void RunOnce() PAPD_EXCLUDES(mu_);
-
- private:
-  void WorkerLoop(int shard) PAPD_EXCLUDES(mu_);
-
-  std::function<void(int)> body_;
-  std::vector<std::thread> workers_;
-  mutable Mutex mu_;
-  CondVar start_cv_;
-  CondVar done_cv_;
-  uint64_t generation_ PAPD_GUARDED_BY(mu_) = 0;
-  int running_ PAPD_GUARDED_BY(mu_) = 0;
-  bool stopping_ PAPD_GUARDED_BY(mu_) = false;
-};
 
 }  // namespace papd
 

@@ -113,8 +113,9 @@ struct SweepResult {
 };
 
 // Expands and executes the sweep.  Scenario points fan out through
-// RunScenarios; fleet points run sequentially, each fanning its leaves out
-// on the pool (nullptr = GlobalThreadPool()).
+// RunScenarios on `pool` (nullptr = GlobalThreadPool()); fleet points run
+// one after another, each fanning its leaves out on `pool` when one is
+// given and stepping them serially when it is nullptr.
 SweepResult RunSweep(const SweepSpec& spec, ThreadPool* pool = nullptr);
 
 // JSON artifact: {"sweep": name, "target": ..., "points": [{labels, axis

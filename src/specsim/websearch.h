@@ -120,11 +120,6 @@ class WebSearch : public MultiCoreWork {
   // Exact arrival timestamps; only populated with open_loop.record_arrivals.
   const std::vector<Seconds>& arrival_log() const { return arrival_log_; }
 
-  // Instantaneous open-loop arrival rate at simulated time `t` (requests/s,
-  // after shape modulation); 0 in closed-loop mode.  Exposed so sweeps can
-  // report the offered load they actually generated.
-  double ArrivalRateAt(Seconds t) const;
-
  private:
   struct Request {
     Seconds submit_time;
@@ -155,6 +150,10 @@ class WebSearch : public MultiCoreWork {
 
   // Admits every open-loop arrival with timestamp <= `end`.
   void AdmitOpenLoopArrivals(Seconds end);
+
+  // Instantaneous open-loop arrival rate at simulated time `t` (requests/s,
+  // after shape modulation); 0 in closed-loop mode.
+  double ArrivalRateAt(Seconds t) const;
 
   // Draws the first open-loop arrival after `t`: one exponential gap at the
   // mean rate (kConstant), or the first kept candidate of a thinned

@@ -359,6 +359,18 @@ TEST(BudgetTreeDeathTest, FaultOnUnknownNodeAborts) {
   EXPECT_DEATH({ BudgetTree tree(cfg); }, "unknown node");
 }
 
+TEST(BudgetTreeDeathTest, NonPositiveControlPeriodAborts) {
+  // Static leaves register no daemon periodic, so the simulator's own
+  // period check never sees the tree's period.
+  for (const Seconds period : {Seconds{0.0}, Seconds{-1.0}}) {
+    RackSocketConfig socket = MakeSocket(/*rotate=*/0, /*seed=*/42);
+    socket.policy = PolicyKind::kStatic;
+    BudgetTreeConfig cfg = MakeFlatRack({socket, socket}, Watts{100.0});
+    cfg.control_period_s = period;
+    EXPECT_DEATH({ BudgetTree tree(cfg); }, "control_period_s") << "period " << period;
+  }
+}
+
 TEST(BudgetTree, LeafGrantsLandOnDaemons) {
   BudgetTreeConfig cfg = MakeCluster(Watts{320.0});
   BudgetTree tree(cfg);

@@ -38,6 +38,7 @@
 #include "bench/perf_util.h"
 #include "src/cluster/budget_tree.h"
 #include "src/cluster/socket_stack.h"
+#include "src/common/thread_pool.h"
 #include "src/experiments/scenarios.h"
 #include "src/msr/fault_plan.h"
 #include "src/platform/platform_spec.h"
@@ -476,6 +477,41 @@ TEST(SocketHoldEquivalence, LoadedSocketWithinMultiRateTolerances) {
     EXPECT_NEAR(held.instructions[i] / ref.instructions[i], 1.0, 0.02)
         << "core " << i << " instruction total drifted beyond tolerance";
   }
+}
+
+// --- Parallel fan-out ---------------------------------------------------------
+
+// A 2x2x2 tree of held EPYC-128 sockets with memoization off, so all eight
+// leaves are live and every step fans them out through the pool's
+// ParallelFor.  Once every daemon holds, the measured parallel steps must
+// touch no heap: not in the fan-out, not in the leaves, not in the arbiter.
+TEST(ClusterScale, ParallelTreeStepIsAllocationFree) {
+  constexpr int kWarmupSteps = 12;
+  constexpr int kMeasuredSteps = 4;
+  BudgetTreeConfig cfg = MakeUniformCluster(/*rows=*/2, /*racks_per_row=*/2,
+                                            /*sockets_per_rack=*/2, MakeHoldSocket(),
+                                            kHoldGrantW * 8.0, /*decorrelate_seeds=*/false);
+  cfg.tick.policy = TickPolicy::kMultiRate;
+  cfg.tick.socket_hold = true;
+  cfg.record_history = false;
+  BudgetTree tree(cfg);
+  ThreadPool pool(2);
+
+  for (int s = 0; s < kWarmupSteps; s++) {
+    tree.Step(&pool);
+  }
+  ASSERT_EQ(tree.num_live_leaves(), 8);
+  for (int n = 0; n < tree.num_nodes(); n++) {
+    if (tree.is_leaf(n)) {
+      ASSERT_TRUE(tree.stack(n).daemon_held) << tree.node_path(n) << " never held";
+    }
+  }
+  const long allocs_before = AllocationCount();
+  for (int s = 0; s < kMeasuredSteps; s++) {
+    tree.Step(&pool);
+  }
+  EXPECT_EQ(AllocationCount() - allocs_before, 0) << "parallel tree steps allocated";
+  EXPECT_LE(tree.max_grant_overrun_w(), Watts{1e-6});
 }
 
 // --- The 131072-core tree ----------------------------------------------------

@@ -1,6 +1,6 @@
 // ThreadPool / ParallelFor contract tests.  The sanitizer matrix runs this
-// suite under TSan, which is the real test for the completion-signalling
-// and queue locking.
+// suite under TSan, which is the real test for the completion signalling
+// and the index claiming.
 
 #include "src/common/thread_pool.h"
 
@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "tests/alloc_counter.h"
 
 namespace papd {
 namespace {
@@ -99,71 +101,37 @@ TEST(ThreadPool, SubmitToDifferentPoolFromWorkerIsAllowed) {
   EXPECT_EQ(count.load(), 12);
 }
 
-TEST(ShardTeam, RunOnceCoversEveryShardExactlyOnce) {
-  // Disjoint per-shard slots: no atomics needed, the RunOnce barrier is the
-  // synchronization under test (TSan verifies it in the sanitizer matrix).
-  std::vector<int> counts(4, 0);
-  ShardTeam team(4, [&counts](int shard) { counts[static_cast<size_t>(shard)]++; });
-  EXPECT_EQ(team.shards(), 4);
-  team.RunOnce();
-  for (int c : counts) {
-    EXPECT_EQ(c, 1);
+TEST(ThreadPool, ParallelForIsAllocationFree) {
+  // The budget tree fans its leaves out through ParallelFor every control
+  // period, so repeated calls must not touch the heap.  The lambda's one
+  // reference capture fits std::function's inline storage.
+  ThreadPool pool(3);
+  std::vector<int> hits(7, 0);
+  const long allocs_before = AllocationCount();
+  for (int call = 0; call < 10; call++) {
+    pool.ParallelFor(hits.size(), [&hits](size_t i) { hits[i]++; });
   }
-}
-
-TEST(ShardTeam, PersistsAcrossRuns) {
-  // The team is built once and reused; each RunOnce fires every shard's body
-  // exactly once more, and per-shard partial sums stay consistent.
-  const std::vector<int> values = {3, 1, 4, 1, 5, 9, 2, 6};
-  std::vector<int> partial(3, 0);
-  ShardTeam team(3, [&values, &partial](int shard) {
-    const size_t n = values.size();
-    const auto s = static_cast<size_t>(shard);
-    int sum = 0;
-    for (size_t i = n * s / 3; i < n * (s + 1) / 3; i++) {
-      sum += values[i];
-    }
-    partial[s] += sum;
-  });
-  const int total = std::accumulate(values.begin(), values.end(), 0);
-  for (int run = 1; run <= 5; run++) {
-    team.RunOnce();
-    EXPECT_EQ(std::accumulate(partial.begin(), partial.end(), 0), total * run);
+  EXPECT_EQ(AllocationCount() - allocs_before, 0);
+  for (int h : hits) {
+    EXPECT_EQ(h, 10);
   }
-}
-
-TEST(ShardTeam, SingleShard) {
-  int fired = 0;
-  ShardTeam team(1, [&fired](int shard) {
-    EXPECT_EQ(shard, 0);
-    fired++;
-  });
-  team.RunOnce();
-  team.RunOnce();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(ShardTeam, DestructionWithoutRunIsClean) {
-  // Workers park on construction; destroying an idle team must join them
-  // without ever dispatching the body.
-  int fired = 0;
-  { ShardTeam team(3, [&fired](int) { fired++; }); }
-  EXPECT_EQ(fired, 0);
 }
 
 TEST(ThreadPoolJobs, EnvOverrideParsing) {
-  // Positive values are honored.
+  unsetenv("PAPD_JOBS");
+  const int hardware = ThreadPool::DefaultJobs();
+  EXPECT_GE(hardware, 1);
+  // Values in [1, INT_MAX] are honored.
   setenv("PAPD_JOBS", "3", 1);
   EXPECT_EQ(ThreadPool::DefaultJobs(), 3);
-  // Garbage and non-positive values fall back to the hardware.
-  setenv("PAPD_JOBS", "0", 1);
-  EXPECT_GE(ThreadPool::DefaultJobs(), 1);
-  setenv("PAPD_JOBS", "-2", 1);
-  EXPECT_GE(ThreadPool::DefaultJobs(), 1);
-  setenv("PAPD_JOBS", "banana", 1);
-  EXPECT_GE(ThreadPool::DefaultJobs(), 1);
+  // Garbage, non-positive values and values an int cannot hold fall back to
+  // the hardware.  Only the count is checked; no pool is built from them.
+  for (const char* value : {"0", "-2", "banana", "2147483648", "99999999999999999999",
+                            "4294967297"}) {
+    setenv("PAPD_JOBS", value, 1);
+    EXPECT_EQ(ThreadPool::DefaultJobs(), hardware) << "PAPD_JOBS=" << value;
+  }
   unsetenv("PAPD_JOBS");
-  EXPECT_GE(ThreadPool::DefaultJobs(), 1);
 }
 
 TEST(ThreadPoolJobs, ConstructorUsesDefaultWhenNonPositive) {

@@ -24,8 +24,8 @@
 //       --app leela:shares=90 --app cpuburn:shares=10
 //   papdctl --platform ryzen --policy priority --limit 40
 //       --app cactusBSSN:hp --app cactusBSSN:hp --app leela:lp --app leela:lp
-//   papdctl fleet --sweep fleet_sweep.json
-//   papdctl fleet --sweep fleet_sweep.json --point "fleet-bench/policy=slo-feedback"
+//   papdctl fleet --sweep tests/data/fleet_sweep_sample.json
+//   papdctl fleet --sweep tests/data/fleet_sweep_sample.json --point "probe/policy=slo-feedback"
 
 #include <cstdio>
 #include <cstdlib>
