@@ -142,7 +142,7 @@ void BudgetTree::DeriveBounds() {
 BudgetTree::BudgetTree(BudgetTreeConfig config) : config_(std::move(config)) {
   Flatten(config_.root, /*parent=*/-1, /*level=*/0);
   PAPD_CHECK(!leaves_.empty());
-  PAPD_CHECK_LT(nodes_.size(), size_t{1} << 15);  // Shards are int16_t.
+  PAPD_CHECK_LT(nodes_.size(), size_t{1} << 15);  // Trace shard ids are int16_t.
   // Static and held leaves register no daemon periodic, so nothing else
   // would reject a period that never advances time.
   PAPD_CHECK_GT(config_.control_period_s, Seconds{0.0});
@@ -161,6 +161,7 @@ BudgetTree::BudgetTree(BudgetTreeConfig config) : config_(std::move(config)) {
   // measurements yet — so every leaf daemon starts under its real grant.
   Arbitrate(/*initial=*/true);
   BuildReplicaClasses();
+  live_leaves_.reserve(leaves_.size());
   for (int leaf : leaves_) {
     Node& node = nodes_[static_cast<size_t>(leaf)];
     const int cls = node_class_[static_cast<size_t>(leaf)];
@@ -168,15 +169,11 @@ BudgetTree::BudgetTree(BudgetTreeConfig config) : config_(std::move(config)) {
       continue;  // Memoized replica: no stack until its grant diverges.
     }
     node.stack = MakeLeafStack(leaf, node.grant_w);
+    live_leaves_.push_back(leaf);
   }
   // now() and measurement fan-out rely on the first leaf being live; the
   // first leaf in pre-order is the representative of its own class.
   PAPD_CHECK(nodes_[static_cast<size_t>(leaves_.front())].stack != nullptr);
-
-  leaf_live_.assign(leaves_.size(), 0);
-  for (size_t k = 0; k < leaves_.size(); k++) {
-    leaf_live_[k] = nodes_[static_cast<size_t>(leaves_[k])].stack != nullptr ? 1 : 0;
-  }
 
   // Pre-size the hoisted arbitration scratch so even the first Step's
   // control plane never touches the heap.
@@ -256,6 +253,9 @@ const std::vector<int>& BudgetTree::children(int node) const {
 }
 bool BudgetTree::is_leaf(int node) const {
   return nodes_[static_cast<size_t>(node)].children.empty();
+}
+int BudgetTree::leaf_count(int node) const {
+  return nodes_[static_cast<size_t>(node)].leaf_count;
 }
 
 int BudgetTree::FindNode(const std::string& path) const {
@@ -342,14 +342,6 @@ Seconds BudgetTree::now() const {
   return nodes_[static_cast<size_t>(leaves_.front())].stack->pkg.now();
 }
 
-int BudgetTree::num_live_leaves() const {
-  int live = 0;
-  for (int leaf : leaves_) {
-    live += nodes_[static_cast<size_t>(leaf)].stack != nullptr ? 1 : 0;
-  }
-  return live;
-}
-
 double BudgetTree::replica_hit_rate() const {
   if (total_leaf_periods_ == 0) {
     return 0.0;
@@ -389,12 +381,9 @@ void BudgetTree::MaterializeLeaf(int node) {
     // The grant the last arbitration put in force for the upcoming period.
     n.stack->daemon->SetPowerLimit(n.grant_w);
   }
-  for (size_t k = 0; k < leaves_.size(); k++) {
-    if (leaves_[k] == node) {
-      leaf_live_[k] = 1;
-      break;
-    }
-  }
+  // Sorted insert keeps the fan-out in pre-order, within the capacity
+  // reserved at construction.
+  live_leaves_.insert(std::lower_bound(live_leaves_.begin(), live_leaves_.end(), node), node);
 }
 
 // PAPD_HOT — per period; the log append is amortized O(1) with no heap
@@ -420,27 +409,13 @@ void BudgetTree::PrepareMemoPeriod() {
   }
 }
 
-// PAPD_HOT — one ParallelFor per period over static contiguous leaf ranges.
-// The body captures only `this` and `shards`, which std::function stores
-// inline, so the fan-out allocates nothing.
+// PAPD_HOT — one ParallelFor per period, one index per live leaf, so idle
+// workers take whatever leaves remain.  The body captures only `this`,
+// which std::function stores inline, so the fan-out allocates nothing.
 void BudgetTree::AdvanceLiveLeaves(ThreadPool* pool) {
-  const size_t shards =
-      pool != nullptr ? std::min(static_cast<size_t>(pool->num_threads()), leaves_.size()) : 1;
-  const auto advance_shard = [this, shards](size_t s) {
-    // leaves_ is in pre-order, so each shard covers a topology-contiguous
-    // run of sockets (subtree locality).
-    const size_t n = leaves_.size();
-    for (size_t k = n * s / shards; k < n * (s + 1) / shards; k++) {
-      if (leaf_live_[k] != 0) {
-        nodes_[static_cast<size_t>(leaves_[k])].stack->AdvancePeriod(config_.control_period_s);
-      }
-    }
-  };
-  if (shards == 1) {
-    advance_shard(0);
-  } else {
-    pool->ParallelFor(shards, advance_shard);
-  }
+  ParallelFor(pool, live_leaves_.size(), [this](size_t k) {
+    nodes_[static_cast<size_t>(live_leaves_[k])].stack->AdvancePeriod(config_.control_period_s);
+  });
 }
 
 Watts BudgetTree::EffectiveCeiling(int node, bool use_demand) const {

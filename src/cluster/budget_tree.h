@@ -121,20 +121,24 @@ class BudgetTree {
   BudgetTree(const BudgetTree&) = delete;
   BudgetTree& operator=(const BudgetTree&) = delete;
 
-  // Advances every leaf one control period (in parallel when `pool` is
-  // given, else serially — results bit-identical either way), aggregates
-  // measurements up, runs the fault ladder, and re-arbitrates grants down.
-  // A non-null pool gets one ParallelFor per period over min(workers,
-  // leaves) static, topology-contiguous leaf ranges, so the steady-state
-  // step allocates nothing.  The pool must not be the one running the
-  // caller (ParallelFor then throws std::logic_error, once there are two or
-  // more ranges), and steps of several trees sharing one pool from
-  // different threads take turns each period.
+  // Advances every live leaf one control period, aggregates measurements
+  // up, runs the fault ladder, and re-arbitrates grants down.  The live
+  // leaves fan out through one ParallelFor(pool, ...) per period, one index
+  // per leaf, claimed dynamically; a null pool advances them in pre-order
+  // on the caller.  Results are bit-identical either way, and the
+  // steady-state step allocates nothing.  The pool must not be the one
+  // running the caller (ParallelFor then throws std::logic_error), and
+  // steps of several trees sharing one pool from different threads take
+  // turns each period.
   void Step(ThreadPool* pool = nullptr);
 
   // --- Topology (flat pre-order indexing; parent index < child index) ---
   int num_nodes() const;
   int num_leaves() const { return static_cast<int>(leaves_.size()); }
+  // Flat indices of every leaf, ascending (pre-order).
+  const std::vector<int>& leaves() const { return leaves_; }
+  // Leaves in `node`'s subtree (1 for a leaf).
+  int leaf_count(int node) const;
   const std::string& node_path(int node) const;
   int parent(int node) const;
   int level(int node) const;  // Root = 0.
@@ -188,7 +192,7 @@ class BudgetTree {
   // independently from that period on.
   int num_replica_classes() const { return static_cast<int>(classes_.size()); }
   // Leaves currently simulated for real (representatives + materialized).
-  int num_live_leaves() const;
+  int num_live_leaves() const { return static_cast<int>(live_leaves_.size()); }
   // Fraction of leaf-periods so far that were served by fan-out instead of
   // simulation; 0 when memoization is off.
   double replica_hit_rate() const;
@@ -242,7 +246,10 @@ class BudgetTree {
 
   BudgetTreeConfig config_;
   std::vector<Node> nodes_;
-  std::vector<int> leaves_;       // Flat indices of leaf nodes.
+  std::vector<int> leaves_;       // Flat indices of leaf nodes, ascending.
+  // Flat indices of the leaves that own a stack, ascending; capacity
+  // leaves_.size(), so materializing a leaf never allocates here.
+  std::vector<int> live_leaves_;
   std::vector<int> fault_nodes_;  // Resolved config_.faults[i].node_path.
   int num_levels_ = 0;
   int64_t period_ = 0;
@@ -255,8 +262,6 @@ class BudgetTree {
   std::vector<int> node_class_;  // Per flat node: class index, or -1.
   uint64_t memo_leaf_periods_ = 0;
   uint64_t total_leaf_periods_ = 0;
-
-  std::vector<uint8_t> leaf_live_;  // Per leaves_ index: step this period?
 
   // Hoisted arbitration scratch: the control plane runs every period at
   // every node and must not allocate (PAPD_HOT).

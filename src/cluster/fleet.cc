@@ -17,6 +17,15 @@ namespace {
 // The "priority" fleet policy multiplies hot sockets' arbiter shares by
 // this.
 constexpr double kPriorityBoost = 2.0;
+// A hot shard's users per socket, relative to a cold shard's.  With the
+// default population this puts hot shards at ~153 rps against ~81 for cold
+// ones (see FleetConfig::users).
+constexpr double kHotMultiplier = 1.875;
+// A derived cluster budget (FleetConfig::budget_w == 0) grants every socket
+// its floor plus this fraction of its floor-to-ceiling range: ~42 W per
+// socket at the equal static split, enough for cold shards and ~17 W short
+// of what a hot shard needs.
+constexpr double kCapFraction = 0.34;
 // A socket-period only counts toward SLO accounting when its window
 // completed at least this many requests (a starved window with two samples
 // is noise, not a measurement).
@@ -35,15 +44,13 @@ int FleetSockets(const FleetConfig& cfg) {
   return cfg.rows * cfg.racks_per_row * cfg.sockets_per_rack;
 }
 
-Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
+Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(FleetConfig::slo) {
   PAPD_CHECK_GT(cfg_.rows, 0);
   PAPD_CHECK_GT(cfg_.racks_per_row, 0);
   PAPD_CHECK_GT(cfg_.sockets_per_rack, 0);
   PAPD_CHECK_GT(cfg_.users, 0.0);
-  PAPD_CHECK_GT(cfg_.requests_per_user_per_day, 0.0);
   PAPD_CHECK_GE(cfg_.hot_fraction, 0.0);
   PAPD_CHECK_LE(cfg_.hot_fraction, 1.0);
-  PAPD_CHECK_GE(cfg_.hot_multiplier, 1.0);
   const int sockets = FleetSockets(cfg_);
 
   // --- Load balancer: sticky population shards, hot shards first ----------
@@ -54,22 +61,20 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
   double weight_sum = 0.0;
   for (int s = 0; s < sockets; ++s) {
     hot_[static_cast<size_t>(s)] = s < hot_count;
-    weight_sum += s < hot_count ? cfg_.hot_multiplier : 1.0;
+    weight_sum += s < hot_count ? kHotMultiplier : 1.0;
   }
 
   // --- Topology ------------------------------------------------------------
   // One RackSocketConfig per socket; only the user shard, seed, and (under
   // the priority policy) the share weight differ between sockets.
-  RackSocketConfig proto{.platform = cfg_.platform};
-  proto.policy = cfg_.socket_policy;
+  RackSocketConfig proto{.platform = SkylakeXeon4114()};
+  proto.policy = PolicyKind::kFrequencyShares;
   proto.seed = cfg_.seed;
   proto.audit = false;  // The per-socket daemon auditor is slow at 256+ sockets.
   proto.websearch = true;
-  proto.with_cpuburn = cfg_.with_cpuburn;
-  proto.websearch_params = cfg_.service;
   proto.websearch_params.open_loop.enabled = true;
   proto.websearch_params.open_loop.requests_per_user_per_day =
-      cfg_.requests_per_user_per_day;
+      FleetConfig::requests_per_user_per_day;
   proto.websearch_params.open_loop.shape = cfg_.shape;
   proto.websearch_params.open_loop.diurnal_amplitude = cfg_.diurnal_amplitude;
   proto.websearch_params.open_loop.diurnal_period_s = cfg_.diurnal_period_s;
@@ -101,7 +106,7 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
         // not make all shards peak on the same control period edge.
         sc.websearch_params.open_loop.shape_phase_s =
             Seconds{static_cast<double>(socket_index % 97)};
-        const double weight = hot ? cfg_.hot_multiplier : 1.0;
+        const double weight = hot ? kHotMultiplier : 1.0;
         sc.websearch_params.open_loop.users = cfg_.users * weight / weight_sum;
         sc.shares = cfg_.priority_hot && hot ? kPriorityBoost : 1.0;
         leaf.shares = sc.shares;
@@ -119,61 +124,43 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(cfg_.slo) {
   if (budget <= Watts{0.0}) {
     const Watts floor = SocketFloorW(proto);
     const Watts ceiling = SocketCeilingW(proto);
-    budget = (floor + (ceiling - floor) * cfg_.cap_fraction) *
-             static_cast<double>(sockets);
+    budget = (floor + (ceiling - floor) * kCapFraction) * static_cast<double>(sockets);
   }
 
   BudgetTreeConfig tree_cfg;
   tree_cfg.root = std::move(root);
   tree_cfg.budget_w = budget;
-  tree_cfg.control_period_s = cfg_.control_period_s;
+  tree_cfg.control_period_s = FleetConfig::control_period_s;
   tree_cfg.arbiter = cfg_.arbiter;
-  tree_cfg.tick_s = cfg_.tick_s;
+  tree_cfg.tick_s = FleetConfig::tick_s;
   tree_cfg.obs = cfg_.obs;
-  tree_cfg.tick = cfg_.tick;
+  tree_cfg.tick = FleetConfig::tick;
   // Fleets run many periods over many nodes; the per-period snapshot is the
   // 100k-core lesson (see BudgetTreeConfig::record_history).
   tree_cfg.record_history = false;
   tree_ = std::make_unique<BudgetTree>(std::move(tree_cfg));
 
   const int nodes = tree_->num_nodes();
-  leaf_nodes_.clear();
-  for (int n = 0; n < nodes; ++n) {
-    if (tree_->is_leaf(n)) {
-      leaf_nodes_.push_back(n);
-    }
-  }
-  PAPD_CHECK_EQ(static_cast<int>(leaf_nodes_.size()), sockets);
+  PAPD_CHECK_EQ(tree_->num_leaves(), sockets);
 
   arbiter_.Resize(static_cast<size_t>(nodes));
   latency_offset_.assign(static_cast<size_t>(sockets), 0);
+  arrivals_offset_.assign(static_cast<size_t>(sockets), 0);
   violations_.assign(static_cast<size_t>(sockets), 0);
   measured_periods_.assign(static_cast<size_t>(sockets), 0);
   window_p90_.assign(static_cast<size_t>(sockets), Seconds{0.0});
   window_violated_.assign(static_cast<size_t>(sockets), 0);
 
-  // Leaf counts per subtree (static topology; computed once).  Reverse
-  // pre-order guarantees children are folded before their parent.
-  leaf_count_.assign(static_cast<size_t>(nodes), 0);
   violating_leaves_.assign(static_cast<size_t>(nodes), 0);
   violation_fraction_.assign(static_cast<size_t>(nodes), 0.0);
   subtree_p90_.assign(static_cast<size_t>(nodes), Seconds{0.0});
   bias_scratch_.assign(static_cast<size_t>(nodes), 1.0);
-  for (int n = nodes - 1; n >= 0; --n) {
-    if (tree_->is_leaf(n)) {
-      leaf_count_[static_cast<size_t>(n)] = 1;
-    } else {
-      for (int c : tree_->children(n)) {
-        leaf_count_[static_cast<size_t>(n)] += leaf_count_[static_cast<size_t>(c)];
-      }
-    }
-  }
 
   // Per-shard latency histograms, one per socket, keyed by tree path.
   latency_hist_.reserve(static_cast<size_t>(sockets));
   for (int s = 0; s < sockets; ++s) {
     latency_hist_.push_back(metrics_.GetHistogram(
-        "fleet." + tree_->node_path(leaf_nodes_[static_cast<size_t>(s)]) +
+        "fleet." + tree_->node_path(leaf_nodes()[static_cast<size_t>(s)]) +
             ".latency_s",
         LatencyBucketsS()));
   }
@@ -200,7 +187,7 @@ void Fleet::Step(ThreadPool* pool) {
 void Fleet::UpdateWindowStats() {
   for (int s = 0; s < num_sockets(); ++s) {
     const size_t si = static_cast<size_t>(s);
-    WebSearch& ws = *tree_->stack(leaf_nodes_[si]).websearch;
+    WebSearch& ws = *tree_->stack(leaf_nodes()[si]).websearch;
     const std::span<const Seconds> lat(ws.latencies());
     const std::span<const Seconds> window =
         lat.subspan(std::min(latency_offset_[si], lat.size()));
@@ -217,7 +204,7 @@ void Fleet::UpdateWindowStats() {
       window_latency_.Clear();
       window_latency_.Add(window);
       window_p90_[si] = window_latency_.Percentile(90.0);
-      if (window_p90_[si] > cfg_.slo.slo_p90) {
+      if (window_p90_[si] > FleetConfig::slo.slo_p90) {
         window_violated_[si] = 1;
         ++violations_[si];
       }
@@ -233,7 +220,7 @@ void Fleet::ApplySloFeedback() {
   std::fill(subtree_p90_.begin(), subtree_p90_.end(), Seconds{0.0});
   for (int s = 0; s < num_sockets(); ++s) {
     const size_t si = static_cast<size_t>(s);
-    const size_t node = static_cast<size_t>(leaf_nodes_[si]);
+    const size_t node = static_cast<size_t>(leaf_nodes()[si]);
     violating_leaves_[node] = window_violated_[si];
     subtree_p90_[node] = window_p90_[si];
   }
@@ -246,7 +233,7 @@ void Fleet::ApplySloFeedback() {
   for (int n = 0; n < nodes; ++n) {
     const size_t ni = static_cast<size_t>(n);
     violation_fraction_[ni] = static_cast<double>(violating_leaves_[ni]) /
-                              static_cast<double>(leaf_count_[ni]);
+                              static_cast<double>(tree_->leaf_count(n));
   }
 
   bias_scratch_ = arbiter_.biases();
@@ -274,8 +261,10 @@ void Fleet::ApplySloFeedback() {
 void Fleet::ResetStats() {
   for (int s = 0; s < num_sockets(); ++s) {
     const size_t si = static_cast<size_t>(s);
-    tree_->stack(leaf_nodes_[si]).websearch->ResetStats();
+    WebSearch& ws = *tree_->stack(leaf_nodes()[si]).websearch;
+    ws.ResetStats();
     latency_offset_[si] = 0;
+    arrivals_offset_[si] = ws.arrivals();
     violations_[si] = 0;
     measured_periods_[si] = 0;
     window_p90_[si] = Seconds{0.0};
@@ -292,11 +281,11 @@ FleetResult Fleet::Collect() {
   FleetResult result;
   result.periods = window_periods_;
   result.simulated_users = cfg_.users;
-  result.requests_per_day = cfg_.users * cfg_.requests_per_user_per_day;
+  result.requests_per_day = cfg_.users * FleetConfig::requests_per_user_per_day;
   result.max_grant_overrun_w = max_overrun_w_;
 
   result.summary.measured_s =
-      cfg_.control_period_s * static_cast<double>(window_periods_);
+      FleetConfig::control_period_s * static_cast<double>(window_periods_);
   if (window_periods_ > 0) {
     result.summary.avg_pkg_w =
         root_power_sum_w_ / static_cast<double>(window_periods_);
@@ -311,7 +300,7 @@ FleetResult Fleet::Collect() {
   result.sockets.reserve(static_cast<size_t>(num_sockets()));
   for (int s = 0; s < num_sockets(); ++s) {
     const size_t si = static_cast<size_t>(s);
-    const int node = leaf_nodes_[si];
+    const int node = leaf_nodes()[si];
     SocketStack& stack = tree_->stack(node);
     WebSearch& ws = *stack.websearch;
 
@@ -326,7 +315,7 @@ FleetResult Fleet::Collect() {
     sr.p90 = socket_latency.Percentile(90.0);
     sr.p99 = socket_latency.Percentile(99.0);
     sr.completed = ws.completed_requests();
-    sr.arrivals = ws.arrivals();
+    sr.arrivals = ws.arrivals() - arrivals_offset_[si];
     sr.slo_violation_periods = violations_[si];
     sr.measured_periods = measured_periods_[si];
     sr.mean_queue_depth = ws.mean_queue_depth();
@@ -349,11 +338,10 @@ FleetResult Fleet::Collect() {
 FleetResult RunFleet(const FleetConfig& cfg, Seconds warmup_s, Seconds measure_s,
                      ThreadPool* pool) {
   Fleet fleet(cfg);
-  PAPD_CHECK(cfg.control_period_s > Seconds{0.0});
   const int warmup_periods =
-      static_cast<int>(std::ceil(warmup_s / cfg.control_period_s));
+      static_cast<int>(std::ceil(warmup_s / FleetConfig::control_period_s));
   const int measure_periods =
-      std::max(1, static_cast<int>(std::ceil(measure_s / cfg.control_period_s)));
+      std::max(1, static_cast<int>(std::ceil(measure_s / FleetConfig::control_period_s)));
   for (int p = 0; p < warmup_periods; ++p) {
     fleet.Step(pool);
   }

@@ -49,12 +49,13 @@
 
 namespace papd {
 
+// Every fleet socket is a Skylake Xeon 4114 running frequency shares over
+// the default WebSearch service, with no cpuburn neighbour (fleet.cc).
 struct FleetConfig {
   // Topology: rows x racks_per_row x sockets_per_rack serving sockets.
   int rows = 4;
   int racks_per_row = 8;
   int sockets_per_rack = 8;
-  PlatformSpec platform = SkylakeXeon4114();
 
   // --- Offered load ----------------------------------------------------------
   // Simulated user population across the fleet; fleet request rate is
@@ -67,30 +68,24 @@ struct FleetConfig {
   // grant but over it at the equal static split, which is exactly the
   // regime where feeding latency back into the split matters.
   double users = 1e8;
-  double requests_per_user_per_day = 20.0;
+  static constexpr double requests_per_user_per_day = 20.0;
   ArrivalShape shape = ArrivalShape::kConstant;
   double diurnal_amplitude = 0.5;
   Seconds diurnal_period_s{86400.0};
   // Load skew: the first round(hot_fraction * sockets) sockets (contiguous,
   // so whole racks run hot and tree levels above the leaf matter) carry
-  // hot_multiplier x the per-socket user share.
+  // 1.875x the per-socket user share (kHotMultiplier in fleet.cc).
   double hot_fraction = 0.125;
-  double hot_multiplier = 1.875;
-  // Base service parameters (users/open_loop fields are filled per socket).
-  WebSearch::Params service;
   // Record arrival timestamps on every socket (determinism tests only).
   bool record_arrivals = false;
 
   // --- Power budget ----------------------------------------------------------
-  // Explicit cluster budget; 0 derives sockets * (floor + cap_fraction *
-  // (ceiling - floor)) from the platform's per-socket bounds.  The default
-  // fraction puts the equal static split at ~42 W/socket: enough for cold
-  // shards, ~17 W short of what a hot shard needs (see `users`).
+  // Explicit cluster budget; 0 derives sockets * (floor + 0.34 * (ceiling -
+  // floor)) from the platform's per-socket bounds (kCapFraction in
+  // fleet.cc).
   Watts budget_w{0.0};
-  double cap_fraction = 0.34;
 
   // --- Policy ----------------------------------------------------------------
-  PolicyKind socket_policy = PolicyKind::kFrequencyShares;
   RackArbiterKind arbiter = RackArbiterKind::kShares;
   // "Priority" fleet policy: double hot sockets' arbiter shares (kShares
   // semantics otherwise).
@@ -99,15 +94,14 @@ struct FleetConfig {
   // ~40 ms, exponential) puts an unloaded socket's p90 near 110 ms, so
   // anything tighter is unmeetable at any grant; max_bias 2.0 is enough to
   // double a hot shard's proportional slice without starving cold rows.
-  SloFeedbackOptions slo{.slo_p90 = Seconds{0.150}, .max_bias = 2.0};
+  static constexpr SloFeedbackOptions slo{.slo_p90 = Seconds{0.150}, .max_bias = 2.0};
 
   // --- Mechanics -------------------------------------------------------------
-  Seconds control_period_s{1.0};
-  Seconds tick_s{0.001};
+  static constexpr Seconds control_period_s{1.0};
+  static constexpr Seconds tick_s{0.001};
   uint64_t seed = 42;
-  bool with_cpuburn = false;
   ObsSink* obs = nullptr;
-  TickOptions tick;
+  static constexpr TickOptions tick{};
 };
 
 int FleetSockets(const FleetConfig& cfg);
@@ -120,6 +114,7 @@ struct FleetSocketResult {
   Seconds p50{0.0};
   Seconds p90{0.0};
   Seconds p99{0.0};
+  // Requests completed and admitted since the last ResetStats.
   size_t completed = 0;
   uint64_t arrivals = 0;
   // Periods (with enough samples) whose windowed p90 broke the SLO.
@@ -152,17 +147,19 @@ class Fleet {
   Fleet& operator=(const Fleet&) = delete;
 
   // One control period: tree step, per-socket window stats, SLO feedback.
-  // The tree steps on `pool` as BudgetTree::Step does: the pool must not be
-  // the one running the caller, and concurrent steps on one pool take turns.
+  // The tree steps on `pool` as BudgetTree::Step does: a null pool is the
+  // caller, the pool must not be the one running the caller, and
+  // concurrent steps on one pool take turns.
   void Step(ThreadPool* pool = nullptr);
 
-  // Drops latency/violation accounting and the latency histograms (call
-  // after warmup).
+  // Drops latency/violation/arrival accounting and the latency histograms
+  // (call after warmup).
   void ResetStats();
 
   BudgetTree& tree() { return *tree_; }
-  int num_sockets() const { return static_cast<int>(leaf_nodes_.size()); }
-  const std::vector<int>& leaf_nodes() const { return leaf_nodes_; }
+  int num_sockets() const { return tree_->num_leaves(); }
+  // Flat tree node per socket: the tree's leaves, ascending.
+  const std::vector<int>& leaf_nodes() const { return tree_->leaves(); }
   bool socket_hot(int socket) const { return hot_[static_cast<size_t>(socket)]; }
   size_t violations(int socket) const {
     return violations_[static_cast<size_t>(socket)];
@@ -179,12 +176,12 @@ class Fleet {
 
   FleetConfig cfg_;
   std::unique_ptr<BudgetTree> tree_;
-  std::vector<int> leaf_nodes_;   // Flat tree node per socket.
   std::vector<bool> hot_;         // Per socket.
   SloFeedbackArbiter arbiter_;
 
   // Per-socket window bookkeeping (indexes into WebSearch::latencies()).
   std::vector<size_t> latency_offset_;
+  std::vector<uint64_t> arrivals_offset_;  // WebSearch::arrivals() at ResetStats.
   std::vector<size_t> violations_;
   std::vector<size_t> measured_periods_;
   std::vector<Seconds> window_p90_;
@@ -193,7 +190,6 @@ class Fleet {
   OrderStatistics<Seconds> window_latency_;
 
   // Per-tree-node scratch for the bottom-up violation aggregation.
-  std::vector<int> leaf_count_;
   std::vector<int> violating_leaves_;
   std::vector<double> violation_fraction_;
   std::vector<Seconds> subtree_p90_;
@@ -210,7 +206,8 @@ class Fleet {
 };
 
 // Warmup, then a measured window, mirroring RunBudgetTree / RunScenario.
-// Steps on `pool` as Fleet::Step does, under the same rules for the pool.
+// Steps on `pool` as Fleet::Step does (null: on the caller), under the same
+// rules for the pool.
 FleetResult RunFleet(const FleetConfig& cfg, Seconds warmup_s, Seconds measure_s,
                      ThreadPool* pool = nullptr);
 

@@ -121,9 +121,9 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     done_ = 0;
   }
   // Wake one worker; each claim that leaves indices unclaimed wakes the
-  // next.  Waking every worker at once lets the scheduler queue two of them
-  // on one CPU while another sits idle, which runs two of the budget tree's
-  // equal leaf ranges back to back and doubles its step.
+  // next.  Waking every worker at once let the scheduler queue two of them
+  // on one CPU while another CPU sat idle, which stretched the budget
+  // tree's per-period leaf fan-out (DESIGN §7, "The pool").
   work_cv_.NotifyOne();
   std::exception_ptr error;
   {
@@ -138,6 +138,16 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
 
   if (error) {
     std::rethrow_exception(error);
+  }
+}
+
+void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; i++) {
+    fn(i);
   }
 }
 

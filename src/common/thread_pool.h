@@ -81,8 +81,14 @@ class ThreadPool {
   bool stopping_ PAPD_GUARDED_BY(mu_) = false;
 };
 
+// Runs fn(0..n-1) on `pool` (ThreadPool::ParallelFor, under its rules), or
+// in index order on the calling thread when `pool` is null.  Every function
+// that takes a ThreadPool* fans out through this, so null always means the
+// caller.
+void ParallelFor(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
+
 // Process-wide pool, constructed on first use with DefaultJobs() workers.
-// Intended for the batch experiment APIs; tests build their own pools.
+// The default pool of the batch experiment APIs; tests build their own.
 ThreadPool& GlobalThreadPool();
 
 }  // namespace papd

@@ -19,15 +19,16 @@
 namespace papd {
 
 // Runs every config and returns results[i] == RunScenario(configs[i]).
-// With pool == nullptr the shared GlobalThreadPool() is used (worker count
-// from PAPD_JOBS or the hardware).  Exceptions thrown by a scenario
-// propagate to the caller after the batch drains.
+// The configs fan out through ParallelFor(pool, ...): by default on the
+// shared GlobalThreadPool() (worker count from PAPD_JOBS or the hardware),
+// one after another on the caller when pool == nullptr.  Exceptions thrown
+// by a scenario propagate to the caller after the batch drains.
 std::vector<ScenarioResult> RunScenarios(const std::vector<ScenarioConfig>& configs,
-                                         ThreadPool* pool = nullptr);
+                                         ThreadPool* pool = &GlobalThreadPool());
 
 // Same contract for websearch experiments.
 std::vector<WebsearchResult> RunWebsearches(const std::vector<WebsearchConfig>& configs,
-                                            ThreadPool* pool = nullptr);
+                                            ThreadPool* pool = &GlobalThreadPool());
 
 }  // namespace papd
 

@@ -112,11 +112,10 @@ struct SweepResult {
   std::vector<SweepPointResult> points;
 };
 
-// Expands and executes the sweep.  Scenario points fan out through
-// RunScenarios on `pool` (nullptr = GlobalThreadPool()); fleet points run
-// one after another, each fanning its leaves out on `pool` when one is
-// given and stepping them serially when it is nullptr.
-SweepResult RunSweep(const SweepSpec& spec, ThreadPool* pool = nullptr);
+// Expands and executes the sweep on `pool` (nullptr: on the caller).
+// Scenario points fan out through RunScenarios; fleet points run one after
+// another, each fanning its live leaves out on the same pool.
+SweepResult RunSweep(const SweepSpec& spec, ThreadPool* pool = &GlobalThreadPool());
 
 // JSON artifact: {"sweep": name, "target": ..., "points": [{labels, axis
 // values, summary, per-socket rows}]}.  This is the file `papdctl fleet`

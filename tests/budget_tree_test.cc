@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -231,6 +232,55 @@ TEST(BudgetTree, ParallelStepIsBitIdenticalToSerial) {
     EXPECT_DOUBLE_EQ(serial.grant_w(n).value(), pooled.grant_w(n).value());
     EXPECT_DOUBLE_EQ(serial.measured_w(n).value(), pooled.measured_w(n).value());
   }
+}
+
+uint64_t Bits(Watts w) { return std::bit_cast<uint64_t>(w.value()); }
+
+// The pooled fan-out claims one live leaf per index, and the live-leaf list
+// grows mid-run when a breaker trip splits a replica class.  A memoized tree
+// stepped on a pool must match, bitwise and period by period, the same tree
+// stepped serially and the twin that simulates every leaf.
+TEST(BudgetTree, ParallelStepThroughMaterializationMatchesSerial) {
+  const Watts kBudget{320.0};
+  const auto make = [&kBudget](bool memoize) {
+    BudgetTreeConfig cfg =
+        MakeUniformCluster(/*rows=*/2, /*racks_per_row=*/2, /*sockets_per_rack=*/2,
+                           MakeSocket(/*rotate=*/0, /*seed=*/42), kBudget,
+                           /*decorrelate_seeds=*/false);
+    cfg.tick.memoize_replicas = memoize;
+    cfg.faults = {ClusterFault{ClusterFaultKind::kBreakerTrip, "dc/row0/rack0",
+                               /*start_period=*/3, /*periods=*/3}};
+    cfg.record_history = false;
+    return cfg;
+  };
+  BudgetTree pooled(make(/*memoize=*/true));
+  BudgetTree serial(make(/*memoize=*/true));
+  BudgetTree full(make(/*memoize=*/false));
+  ThreadPool pool(3);
+
+  ASSERT_EQ(pooled.num_live_leaves(), 1);
+  ASSERT_EQ(full.num_live_leaves(), full.num_leaves());
+  int live = pooled.num_live_leaves();
+  for (int period = 0; period < 10; period++) {
+    pooled.Step(&pool);
+    serial.Step(nullptr);
+    full.Step(nullptr);
+    for (int n = 0; n < pooled.num_nodes(); n++) {
+      EXPECT_EQ(Bits(pooled.measured_w(n)), Bits(serial.measured_w(n)))
+          << "period " << period << " node " << pooled.node_path(n);
+      EXPECT_EQ(Bits(pooled.measured_w(n)), Bits(full.measured_w(n)))
+          << "period " << period << " node " << pooled.node_path(n);
+      EXPECT_EQ(Bits(pooled.grant_w(n)), Bits(full.grant_w(n)))
+          << "period " << period << " node " << pooled.node_path(n);
+    }
+    EXPECT_EQ(pooled.num_live_leaves(), serial.num_live_leaves()) << "period " << period;
+    EXPECT_GE(pooled.num_live_leaves(), live) << "period " << period;
+    live = pooled.num_live_leaves();
+  }
+  // The trip revoked the faulted rack's headroom, so its replicas
+  // materialized and joined the fan-out.
+  EXPECT_GT(live, 1) << "fault never forced materialization";
+  EXPECT_LE(live, pooled.num_leaves());
 }
 
 TEST(BudgetTree, SingleLeafDegenerateTree) {

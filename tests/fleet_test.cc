@@ -18,6 +18,7 @@
 
 #include "src/common/stats.h"
 #include "src/common/thread_pool.h"
+#include "src/obs/trace.h"
 #include "src/policy/slo_feedback.h"
 
 namespace papd {
@@ -286,6 +287,36 @@ TEST(FleetSloFeedback, BiasMovesTowardViolatingShards) {
   EXPECT_GE(hot_max_bias, cold_max_bias);
 }
 
+// A feedback fleet with a sink emits a kSloShift event for each node whose
+// bias moved: index and shard name the node, code is its tree level, and
+// the payload is the bias after the move.  Nothing else sets the sink, so
+// this is the emission path's only run.
+TEST(FleetSloFeedback, ShiftEventsNameMovedNodes) {
+  obs::TraceRecorder recorder;
+  FleetConfig cfg = MiniatureFleet();
+  cfg.arbiter = RackArbiterKind::kSloFeedback;
+  cfg.obs = &recorder;
+  Fleet fleet(cfg);
+  for (int i = 0; i < 8; i++) {
+    fleet.Step();
+  }
+  const BudgetTree& tree = fleet.tree();
+  int shifts = 0;
+  for (const obs::TraceEvent& e : recorder.Drain()) {
+    if (e.type != obs::TraceEventType::kSloShift) {
+      continue;
+    }
+    shifts++;
+    ASSERT_GE(e.index, 0);
+    ASSERT_LT(e.index, tree.num_nodes());
+    EXPECT_EQ(e.shard, static_cast<int16_t>(e.index));
+    EXPECT_EQ(e.code, tree.level(e.index));
+    EXPECT_GE(e.a, 1.0);
+    EXPECT_LE(e.a, FleetConfig::slo.max_bias);
+  }
+  EXPECT_GT(shifts, 0) << "the feedback arbiter never moved a bias";
+}
+
 // The headline: at the same cluster cap, closing the loop strictly reduces
 // violating socket-periods vs static shares, and both policies hold the cap
 // invariant.  Seeded simulation, so this is exact, not statistical.  Two
@@ -355,6 +386,23 @@ TEST(FleetResultReporting, LatencyHistogramsExcludeWarmup) {
   }
   EXPECT_EQ(histograms, 16);
   EXPECT_EQ(samples, r.summary.completed_requests);
+}
+
+// Arrivals, like completions, count the measured window only: ResetStats
+// marks each socket's arrival count, so the warmup's requests are not
+// reported.  The fleet's offered load is users x requests/user/day spread
+// over the day, so a 4 s window offers ~5676 requests across 16 sockets.
+TEST(FleetResultReporting, ArrivalsExcludeWarmup) {
+  const FleetConfig cfg = MiniatureFleet();
+  const Seconds kMeasure{4.0};
+  const FleetResult r = RunFleet(cfg, Seconds{4.0}, kMeasure);
+  uint64_t arrivals = 0;
+  for (const FleetSocketResult& s : r.sockets) {
+    arrivals += s.arrivals;
+  }
+  const double offered =
+      cfg.users * FleetConfig::requests_per_user_per_day / 86400.0 * kMeasure.value();
+  EXPECT_NEAR(static_cast<double>(arrivals), offered, 0.05 * offered);
 }
 
 // Collect selects its percentiles in place across the sockets' latency

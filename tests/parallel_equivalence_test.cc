@@ -69,11 +69,15 @@ TEST(ParallelEquivalence, ScenariosMatchSerialForEveryPolicy) {
 
   ThreadPool pool(4);
   const std::vector<ScenarioResult> parallel = RunScenarios(configs, &pool);
+  // A null pool runs the batch on the caller, like every ThreadPool* taker.
+  const std::vector<ScenarioResult> on_caller = RunScenarios(configs, nullptr);
 
   ASSERT_EQ(parallel.size(), serial.size());
+  ASSERT_EQ(on_caller.size(), serial.size());
   for (size_t i = 0; i < serial.size(); i++) {
     SCOPED_TRACE(PolicyKindName(configs[i].policy));
     ExpectIdentical(serial[i], parallel[i]);
+    ExpectIdentical(serial[i], on_caller[i]);
   }
 }
 

@@ -1,7 +1,8 @@
 // Declarative sweep API tests: axis expansion is golden-tested (names,
 // plot labels, and config forwarding are a contract with plotting
-// scripts), and the JSON artifact round-trips through the repo's own
-// parser the way `papdctl fleet` reads it.
+// scripts), RunSweep returns what its parts return, and the JSON artifact
+// round-trips through the repo's own parser the way `papdctl fleet` reads
+// it.
 
 #include "src/experiments/sweep.h"
 
@@ -11,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include "src/common/json.h"
+#include "src/common/thread_pool.h"
+#include "src/experiments/batch.h"
+#include "src/experiments/scenarios.h"
 
 namespace papd {
 namespace {
@@ -119,6 +123,97 @@ TEST(SweepExpansion, DeterministicAcrossCalls) {
   EXPECT_EQ(a[0].fleet.users, 1e6);
   EXPECT_EQ(a[1].fleet.users, 3e6);
   EXPECT_EQ(a[2].fleet.users, 2e6);
+}
+
+// --- Execution ---------------------------------------------------------------
+
+// EXPECT_EQ on doubles is exact: the runs must agree bitwise.
+void ExpectSameSummary(const RunSummary& a, const RunSummary& b) {
+  EXPECT_EQ(a.avg_pkg_w, b.avg_pkg_w);
+  EXPECT_EQ(a.max_pkg_w, b.max_pkg_w);
+  EXPECT_EQ(a.measured_s, b.measured_s);
+  EXPECT_EQ(a.energy_j, b.energy_j);
+  EXPECT_EQ(a.p50_latency, b.p50_latency);
+  EXPECT_EQ(a.p90_latency, b.p90_latency);
+  EXPECT_EQ(a.p99_latency, b.p99_latency);
+  EXPECT_EQ(a.completed_requests, b.completed_requests);
+  ASSERT_EQ(a.apps.size(), b.apps.size());
+  for (size_t i = 0; i < a.apps.size(); i++) {
+    EXPECT_EQ(a.apps[i].name, b.apps[i].name);
+    EXPECT_EQ(a.apps[i].avg_ips, b.apps[i].avg_ips);
+    EXPECT_EQ(a.apps[i].norm_perf, b.apps[i].norm_perf);
+    EXPECT_EQ(a.apps[i].avg_active_mhz, b.apps[i].avg_active_mhz);
+    EXPECT_EQ(a.apps[i].avg_core_w, b.apps[i].avg_core_w);
+  }
+}
+
+// A scenario sweep equals RunScenarios over ExpandSweep's configs, and a
+// fleet sweep equals RunFleet point by point, whether the sweep runs on a
+// pool or on the caller.
+TEST(SweepRun, MatchesItsParts) {
+  SweepSpec scenarios;
+  scenarios.name = "sc";
+  scenarios.target = SweepTarget::kScenario;
+  scenarios.scenario_base.apps = ShareSplitMix(10, 70.0, 30.0).apps;
+  scenarios.scenario_base.limit_w = Watts{45.0};
+  scenarios.scenario_base.warmup_s = Seconds{2.0};
+  scenarios.scenario_base.measure_s = Seconds{3.0};
+  scenarios.axes.policies = {PolicyKind::kRaplOnly, PolicyKind::kFrequencyShares};
+  std::vector<ScenarioConfig> configs;
+  for (const SweepPoint& p : ExpandSweep(scenarios)) {
+    configs.push_back(p.scenario);
+  }
+  const std::vector<ScenarioResult> scenario_parts = RunScenarios(configs, nullptr);
+
+  // Four sockets at the 256-socket default's per-socket load.
+  SweepSpec fleets;
+  fleets.name = "fl";
+  fleets.target = SweepTarget::kFleet;
+  fleets.fleet_base.rows = 1;
+  fleets.fleet_base.racks_per_row = 2;
+  fleets.fleet_base.sockets_per_rack = 2;
+  fleets.fleet_base.users = 6.13e6 / 4.0;
+  fleets.fleet_base.seed = 7;
+  fleets.fleet_warmup_s = Seconds{2.0};
+  fleets.fleet_measure_s = Seconds{3.0};
+  fleets.axes.fleet_policies = {FleetPolicyStatic(), FleetPolicySloFeedback()};
+  std::vector<FleetResult> fleet_parts;
+  for (const SweepPoint& p : ExpandSweep(fleets)) {
+    fleet_parts.push_back(RunFleet(p.fleet, fleets.fleet_warmup_s, fleets.fleet_measure_s));
+  }
+
+  ThreadPool pool(2);
+  for (ThreadPool* on : {&pool, static_cast<ThreadPool*>(nullptr)}) {
+    SCOPED_TRACE(on != nullptr ? "pool" : "caller");
+    const SweepResult sc = RunSweep(scenarios, on);
+    ASSERT_EQ(sc.points.size(), scenario_parts.size());
+    for (size_t i = 0; i < sc.points.size(); i++) {
+      SCOPED_TRACE(sc.points[i].point.name);
+      ExpectSameSummary(sc.points[i].summary, scenario_parts[i]);
+    }
+
+    const SweepResult fl = RunSweep(fleets, on);
+    ASSERT_EQ(fl.points.size(), fleet_parts.size());
+    for (size_t i = 0; i < fl.points.size(); i++) {
+      SCOPED_TRACE(fl.points[i].point.name);
+      const FleetResult& part = fleet_parts[i];
+      ExpectSameSummary(fl.points[i].summary, part.summary);
+      EXPECT_EQ(fl.points[i].total_slo_violations, part.total_slo_violations);
+      EXPECT_EQ(fl.points[i].total_measured_periods, part.total_measured_periods);
+      EXPECT_EQ(fl.points[i].max_grant_overrun_w, part.max_grant_overrun_w);
+      ASSERT_EQ(fl.points[i].sockets.size(), part.sockets.size());
+      for (size_t s = 0; s < part.sockets.size(); s++) {
+        const FleetSocketResult& got = fl.points[i].sockets[s];
+        const FleetSocketResult& want = part.sockets[s];
+        EXPECT_EQ(got.node, want.node);
+        EXPECT_EQ(got.grant_w, want.grant_w);
+        EXPECT_EQ(got.p90, want.p90);
+        EXPECT_EQ(got.completed, want.completed);
+        EXPECT_EQ(got.arrivals, want.arrivals);
+        EXPECT_EQ(got.slo_violation_periods, want.slo_violation_periods);
+      }
+    }
+  }
 }
 
 // --- JSON artifact -----------------------------------------------------------

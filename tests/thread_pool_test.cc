@@ -117,6 +117,26 @@ TEST(ThreadPool, ParallelForIsAllocationFree) {
   }
 }
 
+// A null pool means the calling thread everywhere a ThreadPool* is taken:
+// the free ParallelFor runs every index there, in index order.
+TEST(ThreadPool, NullPoolRunsOnCallerInOrder) {
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  std::vector<std::thread::id> threads;
+  ParallelFor(nullptr, 5, [&](size_t i) {
+    order.push_back(i);
+    threads.push_back(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4}));
+  ASSERT_EQ(threads.size(), 5u);
+  for (const std::thread::id& t : threads) {
+    EXPECT_EQ(t, caller);
+  }
+  bool ran = false;
+  ParallelFor(nullptr, 0, [&ran](size_t) { ran = true; });
+  EXPECT_FALSE(ran);
+}
+
 TEST(ThreadPoolJobs, EnvOverrideParsing) {
   unsetenv("PAPD_JOBS");
   const int hardware = ThreadPool::DefaultJobs();
