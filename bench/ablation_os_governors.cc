@@ -17,7 +17,7 @@
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
 #include "src/experiments/harness.h"
-#include "src/governor/governor_daemon.h"
+#include "src/governor/governor.h"
 #include "src/msr/msr.h"
 #include "src/specsim/spec2017.h"
 #include "src/specsim/workload.h"
@@ -40,14 +40,11 @@ Row MeasureGovernor(GovernorKind kind, Watts limit) {
   Process virus(GetProfile("cpuburn"), 2);
   pkg.AttachWork(0, &app);
   pkg.AttachWork(1, &virus);
-  for (int c = 2; c < pkg.num_cores(); c++) {
-    pkg.SetRequestedMhz(c, spec.min_mhz);
-  }
   pkg.SetRaplLimit(limit);
 
-  GovernorDaemon governor(&msr, kind);
+  const std::unique_ptr<PowerDaemon> governor = StartGovernor(&msr, kind);
   Simulator sim(&pkg);
-  sim.AddPeriodic(Seconds{0.1}, [&governor](Seconds) { governor.Step(); });
+  sim.AddPeriodic(governor->config().period_s, [&governor](Seconds) { governor->Step(); });
   sim.Run(Seconds{20.0});  // Settle.
 
   const double i0 = pkg.core(0).instructions_retired();

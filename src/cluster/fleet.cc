@@ -145,7 +145,6 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(FleetConfig::slo)
 
   arbiter_.Resize(static_cast<size_t>(nodes));
   latency_offset_.assign(static_cast<size_t>(sockets), 0);
-  arrivals_offset_.assign(static_cast<size_t>(sockets), 0);
   violations_.assign(static_cast<size_t>(sockets), 0);
   measured_periods_.assign(static_cast<size_t>(sockets), 0);
   window_p90_.assign(static_cast<size_t>(sockets), Seconds{0.0});
@@ -261,10 +260,8 @@ void Fleet::ApplySloFeedback() {
 void Fleet::ResetStats() {
   for (int s = 0; s < num_sockets(); ++s) {
     const size_t si = static_cast<size_t>(s);
-    WebSearch& ws = *tree_->stack(leaf_nodes()[si]).websearch;
-    ws.ResetStats();
+    tree_->stack(leaf_nodes()[si]).websearch->ResetStats();
     latency_offset_[si] = 0;
-    arrivals_offset_[si] = ws.arrivals();
     violations_[si] = 0;
     measured_periods_[si] = 0;
     window_p90_[si] = Seconds{0.0};
@@ -315,7 +312,7 @@ FleetResult Fleet::Collect() {
     sr.p90 = socket_latency.Percentile(90.0);
     sr.p99 = socket_latency.Percentile(99.0);
     sr.completed = ws.completed_requests();
-    sr.arrivals = ws.arrivals() - arrivals_offset_[si];
+    sr.arrivals = ws.arrivals();
     sr.slo_violation_periods = violations_[si];
     sr.measured_periods = measured_periods_[si];
     sr.mean_queue_depth = ws.mean_queue_depth();

@@ -181,7 +181,6 @@ class Fleet {
 
   // Per-socket window bookkeeping (indexes into WebSearch::latencies()).
   std::vector<size_t> latency_offset_;
-  std::vector<uint64_t> arrivals_offset_;  // WebSearch::arrivals() at ResetStats.
   std::vector<size_t> violations_;
   std::vector<size_t> measured_periods_;
   std::vector<Seconds> window_p90_;

@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
+
+#include "src/common/check.h"
+#include "src/policy/share_policy.h"
 
 namespace papd {
 namespace {
@@ -92,6 +96,75 @@ std::unique_ptr<FreqGovernor> MakeGovernor(GovernorKind kind, GovernorLimits lim
       return std::make_unique<ConservativeGovernor>(limits);
   }
   return nullptr;
+}
+
+namespace {
+
+// One governor of `kind` per managed app, deciding for the app's core.
+class GovernorPolicy : public ShareResource {
+ public:
+  GovernorPolicy(GovernorKind kind, const PlatformSpec& spec)
+      : kind_(kind),
+        limits_{.min_mhz = spec.min_mhz, .max_mhz = spec.turbo_max_mhz, .step_mhz = spec.step_mhz},
+        start_mhz_(spec.base_max_mhz) {}
+
+  std::string Name() const override { return GovernorKindName(kind_); }
+
+  std::vector<Mhz> InitialDistribution(const std::vector<ManagedApp>& apps,
+                                       Watts limit_w) override {
+    (void)limit_w;
+    governors_.clear();
+    for (size_t i = 0; i < apps.size(); i++) {
+      governors_.push_back(MakeGovernor(kind_, limits_));
+    }
+    requests_.assign(apps.size(), start_mhz_);
+    return requests_;
+  }
+
+  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
+                                const TelemetrySample& sample, Watts limit_w) override {
+    (void)limit_w;
+    for (size_t i = 0; i < apps.size(); i++) {
+      const int c = apps[i].cpu;
+      const CoreTelemetry& core = sample.cores[static_cast<size_t>(c)];
+      if (!core.online || !core.plausible) {
+        continue;  // Hold this core; its busy reading is not this period's.
+      }
+      Mhz& request = requests_[i];
+      request = governors_[i]->Decide(core.busy, request);
+      PAPD_CHECK(IsFinite(request)) << " governor decision for core " << c << " is non-finite";
+      PAPD_CHECK_GE(request, limits_.min_mhz) << " governor decision for core " << c;
+      PAPD_CHECK_LE(request, limits_.max_mhz) << " governor decision for core " << c;
+      PAPD_CHECK(OnFrequencyGrid(request - limits_.min_mhz, limits_.step_mhz))
+          << " governor decision " << request << " MHz for core " << c << " off the "
+          << limits_.step_mhz << " MHz grid";
+    }
+    return requests_;
+  }
+
+ private:
+  GovernorKind kind_;
+  GovernorLimits limits_;
+  Mhz start_mhz_;
+  std::vector<std::unique_ptr<FreqGovernor>> governors_;  // Per app.
+  std::vector<Mhz> requests_;                             // Per app.
+};
+
+}  // namespace
+
+std::unique_ptr<PowerDaemon> StartGovernor(MsrFile* msr, GovernorKind kind, DaemonObs obs) {
+  std::vector<ManagedApp> cores;
+  for (int c = 0; c < msr->num_cores(); c++) {
+    cores.push_back(ManagedApp{.cpu = c});
+  }
+  auto daemon = std::make_unique<PowerDaemon>(msr, std::move(cores),
+                                              DaemonConfig{.power_limit_w = msr->spec().tdp_w,
+                                                           .period_s = kGovernorPeriod,
+                                                           .audit = false,
+                                                           .obs = obs},
+                                              std::make_unique<GovernorPolicy>(kind, msr->spec()));
+  daemon->Start();
+  return daemon;
 }
 
 }  // namespace papd

@@ -11,6 +11,9 @@
 //
 // Each governor is a pure decision function from the previous decision and
 // the core's measured C0 utilization to the next frequency request.
+// StartGovernor runs one per core as a PowerDaemon policy, so the governors
+// share the daemon's sampling, degradation ladder, P-state programming and
+// tracing with the paper's policies.
 
 #ifndef SRC_GOVERNOR_GOVERNOR_H_
 #define SRC_GOVERNOR_GOVERNOR_H_
@@ -19,6 +22,8 @@
 #include <string>
 
 #include "src/common/units.h"
+#include "src/msr/msr.h"
+#include "src/policy/daemon.h"
 
 namespace papd {
 
@@ -106,6 +111,22 @@ const char* GovernorKindName(GovernorKind kind);
 
 // Factory; userspace starts at max_mhz.
 std::unique_ptr<FreqGovernor> MakeGovernor(GovernorKind kind, GovernorLimits limits);
+
+// How often a governed socket samples and decides (Linux cpufreq samples
+// every tens of milliseconds).
+inline constexpr Seconds kGovernorPeriod{0.1};
+
+// A started PowerDaemon running a `kind` governor on every core of `msr`;
+// step it once per `config().period_s` (kGovernorPeriod).  Requests start
+// at the platform's base maximum; a valid sample moves each online,
+// plausible core to its governor's decision on that core's utilization and
+// holds the others.  A utilization governor has no budget: the daemon's
+// limit is the package TDP, which only its overshoot metric, its trace and
+// its RAPL safety net read.  The share auditor is off (budget conservation
+// and share monotonicity do not describe a utilization governor); instead
+// every decision is checked against the platform envelope and frequency
+// grid, and a violation aborts with a formatted CHECK failure.
+std::unique_ptr<PowerDaemon> StartGovernor(MsrFile* msr, GovernorKind kind, DaemonObs obs = {});
 
 }  // namespace papd
 

@@ -213,6 +213,14 @@ void MsrFile::WriteRaplLimitW(Watts limit_w) {
 
 void MsrFile::DisableRaplLimit() { Write(kMsrPkgPowerLimit, 0, 0); }
 
+std::optional<Watts> MsrFile::ReadRaplLimitW() const {
+  const uint64_t v = Read(kMsrPkgPowerLimit, 0);
+  if ((v & (1ULL << 15)) == 0) {
+    return std::nullopt;
+  }
+  return Watts{static_cast<double>(v & 0x7FFF) / 8.0};
+}
+
 void MsrFile::SetCoreOnline(int cpu, bool online) { package_->SetOnline(cpu, online); }
 
 void MsrFile::EnableFaults(const FaultPlan& plan) {

@@ -21,6 +21,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "src/common/units.h"
 #include "src/cpusim/package.h"
@@ -66,9 +67,11 @@ class MsrFile {
   void SelectPstate(int cpu, int slot);
   Mhz ReadPstateDefMhz(int slot) const;
 
-  // RAPL package limit (Skylake only).
+  // RAPL package limit (Skylake only); the read is the enabled limit, or
+  // nullopt when none is in force.
   void WriteRaplLimitW(Watts limit_w);
   void DisableRaplLimit();
+  std::optional<Watts> ReadRaplLimitW() const;
 
   // OS-level core idling (sysfs hotplug / forced deep C-state in the paper).
   void SetCoreOnline(int cpu, bool online);

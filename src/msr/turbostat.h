@@ -13,8 +13,8 @@
 // is flagged invalid, its fault bits recorded, and the affected rates are
 // replaced with the last known-good values so naive consumers never see
 // "zero power = infinite headroom" or 1.8e19 instructions per second.
-// Consumers that can degrade gracefully (PowerDaemon, GovernorDaemon) key
-// off TelemetrySample::valid instead of the substituted rates.
+// Consumers that can degrade gracefully (PowerDaemon, whatever policy it
+// runs) key off TelemetrySample::valid instead of the substituted rates.
 
 #ifndef SRC_MSR_TURBOSTAT_H_
 #define SRC_MSR_TURBOSTAT_H_

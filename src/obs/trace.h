@@ -17,9 +17,8 @@
 //   kSloShift                 SLO-feedback arbiter moved a node's share bias
 //
 // Emission has two paths:
-//   - components holding an ObsSink* (PowerDaemon, GovernorDaemon,
-//     BudgetTree)
-//     call OnEvent directly, guarded by a null check;
+//   - components holding an ObsSink* (PowerDaemon, BudgetTree) call
+//     OnEvent directly, guarded by a null check;
 //   - deep library code (min-funding revocation) uses the PAPD_TRACE_*
 //     macros, which read a thread-local context installed by whoever drives
 //     the thread (ScopedThreadTrace).  With no sink installed the macros
@@ -110,8 +109,8 @@ class ObsSink {
 // --- Thread-local trace context (PAPD_TRACE_* macros) ------------------------
 
 // The context deep library code records through.  Installed by the
-// component driving the thread (PowerDaemon::Step, GovernorDaemon::Step),
-// which also stamps the current simulated time and shard.
+// component driving the thread (PowerDaemon::Step), which also stamps the
+// current simulated time and shard.
 struct ThreadTraceContext {
   ObsSink* sink = nullptr;
   Seconds t;

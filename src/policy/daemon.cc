@@ -331,9 +331,17 @@ std::vector<Mhz> PowerDaemon::FallbackTargets() const {
 }
 
 void PowerDaemon::ArmRaplSafetyNet() {
-  if (rapl_net_armed_ || !msr_->spec().has_rapl_limit) {
+  // kRaplOnly's own limit is the budget: nothing to arm.
+  if (rapl_net_armed_ || !msr_->spec().has_rapl_limit || config_.kind == PolicyKind::kRaplOnly) {
     return;
   }
+  // Never loosen a limit already in force; a looser one comes back on
+  // disarm.
+  const std::optional<Watts> in_force = msr_->ReadRaplLimitW();
+  if (in_force.has_value() && *in_force <= config_.power_limit_w) {
+    return;
+  }
+  rapl_limit_under_net_ = in_force;
   msr_->WriteRaplLimitW(config_.power_limit_w);
   rapl_net_armed_ = true;
 }
@@ -342,8 +350,9 @@ void PowerDaemon::DisarmRaplSafetyNet() {
   if (!rapl_net_armed_) {
     return;
   }
-  // Never turn off a limit the configuration itself asked for.
-  if (config_.kind != PolicyKind::kRaplOnly) {
+  if (rapl_limit_under_net_.has_value()) {
+    msr_->WriteRaplLimitW(*rapl_limit_under_net_);
+  } else {
     msr_->DisableRaplLimit();
   }
   rapl_net_armed_ = false;

@@ -27,7 +27,10 @@
 //             core to a conservative static floor (the platform minimum by
 //             default) and, where the platform has one, arm the hardware
 //             RAPL limit — power can no longer exceed the budget no matter
-//             how long telemetry stays dark.
+//             how long telemetry stays dark.  A limit already in force at
+//             or below the budget (one set outside the daemon, or
+//             kRaplOnly's own) is left as it is; a looser one is replaced
+//             and put back when the net is disarmed.
 //
 // Recovery is immediate: the first valid sample returns the daemon to
 // nominal, and because the policy's internal state was frozen during the
@@ -41,6 +44,7 @@
 #define SRC_POLICY_DAEMON_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/msr/msr.h"
@@ -135,7 +139,7 @@ class PowerDaemon {
 
   // Runs a caller-provided share policy instead of one of the built-in
   // kinds (config.kind is ignored for policy selection).  This is the
-  // extension point for custom policies; see examples/custom_policy.cc.
+  // extension point for custom policies; see examples/custom_policy.cpp.
   PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfig config,
               std::unique_ptr<ShareResource> custom_policy);
 
@@ -266,6 +270,8 @@ class PowerDaemon {
   std::vector<Mhz> last_expected_mhz_;
   bool last_program_ok_ = false;
   bool rapl_net_armed_ = false;
+  // The package limit the armed net replaced (nullopt: none was in force).
+  std::optional<Watts> rapl_limit_under_net_;
 };
 
 // Derives the policy-visible platform constants from a platform spec (the

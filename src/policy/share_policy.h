@@ -1,4 +1,6 @@
-// Common interface of the proportional-share policies.
+// Common interface of every per-app frequency policy the daemon runs: the
+// proportional-share policies, custom policies (examples/custom_policy.cpp)
+// and the cpufreq governors (StartGovernor in src/governor/governor.h).
 //
 // Paper Section 5.2: every share mechanism is implemented with three
 // functions — an *initial distribution* run when applications start, a

@@ -239,6 +239,7 @@ void WebSearch::ResetStats() {
   latencies_.clear();
   arrival_log_.clear();
   completed_ = 0;
+  arrivals_ = 0;
   peak_queue_depth_ = outstanding_;
   depth_integral_s_ = Seconds{0.0};
   depth_window_ = Seconds{0.0};

@@ -93,7 +93,9 @@ class WebSearch : public MultiCoreWork {
   bool UsesAvx() const override { return false; }
   std::string Name() const override { return "websearch"; }
 
-  // Drops all recorded latency samples (e.g. after warmup).
+  // Starts a new measurement window (e.g. after warmup): drops the recorded
+  // latency samples and arrival log, zeroes the completion and arrival
+  // counts and restarts the queue-depth statistics.
   void ResetStats();
 
   // Response-time percentile in seconds over the recorded window; p in
@@ -111,8 +113,8 @@ class WebSearch : public MultiCoreWork {
   }
 
   // --- Open-loop telemetry ---------------------------------------------------
-  // Requests admitted since construction (open loop) or think-timer
-  // expiries (closed loop).
+  // Requests admitted (open loop) or think-timer expiries (closed loop)
+  // since the last ResetStats.
   uint64_t arrivals() const { return arrivals_; }
   size_t peak_queue_depth() const { return peak_queue_depth_; }
   // Time-weighted mean queue depth over the recorded window.

@@ -19,7 +19,7 @@
 #include "src/experiments/batch.h"
 #include "src/experiments/harness.h"
 #include "src/experiments/scenarios.h"
-#include "src/governor/governor_daemon.h"
+#include "src/governor/governor.h"
 #include "src/msr/fault_plan.h"
 #include "src/msr/msr.h"
 #include "src/policy/daemon.h"
@@ -364,30 +364,86 @@ TEST(FaultInjection, GovernorHoldsThenFallsBackToMinimum) {
   MsrFile msr(&pkg);
   Process proc(GetProfile("cpuburn"), 1);
   pkg.AttachWork(0, &proc);
-  GovernorDaemon daemon(&msr, GovernorKind::kOndemand);
+  const std::unique_ptr<PowerDaemon> daemon = StartGovernor(&msr, GovernorKind::kOndemand);
 
   Simulator sim(&pkg);
-  sim.AddPeriodic(Seconds{0.1}, [&daemon](Seconds) { daemon.Step(); });
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
   sim.Run(Seconds{2.0});
   ASSERT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), 3000.0);  // 100% util.
-  ASSERT_EQ(daemon.invalid_streak(), 0);
+  ASSERT_EQ(daemon->bad_sample_streak(), 0);
 
   msr.EnableFaults(StaleStorm());
   sim.Run(Seconds{0.2});  // Two invalid samples: hold.
-  EXPECT_EQ(daemon.invalid_streak(), 2);
-  EXPECT_FALSE(daemon.in_fallback());
+  EXPECT_EQ(daemon->bad_sample_streak(), 2);
+  EXPECT_NE(daemon->degradation_state(), DegradationState::kFallback);
   EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), 3000.0);
 
   sim.Run(Seconds{0.2});  // Third invalid sample: everything to the platform minimum.
-  EXPECT_TRUE(daemon.in_fallback());
+  EXPECT_EQ(daemon->degradation_state(), DegradationState::kFallback);
   for (int i = 0; i < pkg.num_cores(); i++) {
     EXPECT_DOUBLE_EQ(pkg.core(i).requested_mhz().value(), 800.0);
   }
 
   msr.EnableFaults(FaultPlan{});
   sim.Run(Seconds{1.0});  // Telemetry back: the busy core ramps again.
-  EXPECT_EQ(daemon.invalid_streak(), 0);
+  EXPECT_EQ(daemon->bad_sample_streak(), 0);
   EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), 3000.0);
+}
+
+// A governed socket under a tighter package cap set outside the daemon (the
+// OS-governor bench's 40 W): the safety net neither raises the cap to the
+// daemon's limit (the 85 W TDP) in fallback nor turns it off on recovery.
+TEST(FaultInjection, GovernorKeepsExternalRaplCapThroughFallback) {
+  Package pkg(SkylakeXeon4114());
+  MsrFile msr(&pkg);
+  Process app(GetProfile("leela"), 1);
+  Process virus(GetProfile("cpuburn"), 2);
+  pkg.AttachWork(0, &app);
+  pkg.AttachWork(1, &virus);
+  pkg.SetRaplLimit(Watts{40.0});
+  const std::unique_ptr<PowerDaemon> daemon = StartGovernor(&msr, GovernorKind::kOndemand);
+
+  Simulator sim(&pkg);
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
+  sim.Run(Seconds{2.0});
+  msr.EnableFaults(StaleStorm());
+  sim.Run(Seconds{0.5});
+  ASSERT_EQ(daemon->degradation_state(), DegradationState::kFallback);
+  EXPECT_TRUE(pkg.rapl().enabled());
+  EXPECT_DOUBLE_EQ(pkg.rapl().limit_w().value(), 40.0);
+
+  msr.EnableFaults(FaultPlan{});
+  sim.Run(Seconds{1.0});
+  ASSERT_EQ(daemon->degradation_state(), DegradationState::kNominal);
+  EXPECT_EQ(daemon->fault_stats().failed_programs, 0);
+  EXPECT_TRUE(pkg.rapl().enabled());
+  EXPECT_DOUBLE_EQ(pkg.rapl().limit_w().value(), 40.0);
+}
+
+// A looser external cap is tightened to the budget while the net is armed
+// and put back, not turned off, when it disarms.
+TEST(FaultInjection, SafetyNetRestoresLooserExternalCap) {
+  Rig rig(SkylakeXeon4114());
+  for (int i = 0; i < 6; i++) {
+    rig.AddApp(i % 2 ? "leela" : "cactusBSSN", 1.0);
+  }
+  rig.pkg.SetRaplLimit(Watts{70.0});
+  PowerDaemon daemon(&rig.msr, rig.apps,
+                     {.kind = PolicyKind::kFrequencyShares, .power_limit_w = Watts{45}});
+  daemon.Start();
+  rig.Run(&daemon, Seconds{10.0});
+
+  rig.msr.EnableFaults(StaleStorm());
+  rig.Run(&daemon, Seconds{4.0});
+  ASSERT_EQ(daemon.degradation_state(), DegradationState::kFallback);
+  EXPECT_TRUE(rig.pkg.rapl().enabled());
+  EXPECT_DOUBLE_EQ(rig.pkg.rapl().limit_w().value(), 45.0);
+
+  rig.msr.EnableFaults(FaultPlan{});
+  rig.Run(&daemon, Seconds{3.0});
+  ASSERT_EQ(daemon.degradation_state(), DegradationState::kNominal);
+  EXPECT_TRUE(rig.pkg.rapl().enabled());
+  EXPECT_DOUBLE_EQ(rig.pkg.rapl().limit_w().value(), 70.0);
 }
 
 // --- Acceptance sweep --------------------------------------------------------

@@ -1,4 +1,4 @@
-// Unit tests for the OS frequency governors and the per-core governor loop.
+// Unit tests for the OS frequency governors and the governed PowerDaemon.
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,8 @@
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
 #include "src/governor/governor.h"
-#include "src/governor/governor_daemon.h"
+#include "src/msr/fault_plan.h"
+#include "src/obs/trace.h"
 #include "src/specsim/spec2017.h"
 #include "src/specsim/workload.h"
 
@@ -82,10 +83,10 @@ TEST(GovernorDaemon, OndemandRampsBusyCoreAndParksIdleCore) {
   MsrFile msr(&pkg);
   Process proc(GetProfile("gcc"), 1);
   pkg.AttachWork(0, &proc);  // Core 0 busy; others idle.
-  GovernorDaemon daemon(&msr, GovernorKind::kOndemand);
+  const std::unique_ptr<PowerDaemon> daemon = StartGovernor(&msr, GovernorKind::kOndemand);
 
   Simulator sim(&pkg);
-  sim.AddPeriodic(Seconds{0.1}, [&daemon](Seconds) { daemon.Step(); });
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
   sim.Run(Seconds{2.0});
 
   EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), 3000.0);  // 100% util -> max.
@@ -98,10 +99,10 @@ TEST(GovernorDaemon, ConservativeConvergesOverTime) {
   Process proc(GetProfile("gcc"), 1);
   pkg.AttachWork(0, &proc);
   pkg.SetRequestedMhz(0, Mhz{800});
-  GovernorDaemon daemon(&msr, GovernorKind::kConservative);
+  const std::unique_ptr<PowerDaemon> daemon = StartGovernor(&msr, GovernorKind::kConservative);
 
   Simulator sim(&pkg);
-  sim.AddPeriodic(Seconds{0.1}, [&daemon](Seconds) { daemon.Step(); });
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
   sim.Run(Seconds{0.5});
   const Mhz early{pkg.core(0).requested_mhz()};
   sim.Run(Seconds{5.0});
@@ -120,12 +121,66 @@ TEST(GovernorDaemon, UtilizationGovernorIgnoresPriorities) {
   Process service(GetProfile("leela"), 2);
   pkg.AttachWork(0, &burn);
   pkg.AttachWork(1, &service);
-  GovernorDaemon daemon(&msr, GovernorKind::kOndemand);
+  const std::unique_ptr<PowerDaemon> daemon = StartGovernor(&msr, GovernorKind::kOndemand);
 
   Simulator sim(&pkg);
-  sim.AddPeriodic(Seconds{0.1}, [&daemon](Seconds) { daemon.Step(); });
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
   sim.Run(Seconds{2.0});
   EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), pkg.core(1).requested_mhz().value());
+}
+
+// On Ryzen the daemon's three-P-state selector programs the governors'
+// requests: the busy core runs at turbo maximum, the idle core is parked
+// at the minimum.
+TEST(GovernorPolicy, OndemandRunsRyzenThroughSelector) {
+  Package pkg(Ryzen1700X());
+  MsrFile msr(&pkg);
+  Process proc(GetProfile("gcc"), 1);
+  pkg.AttachWork(0, &proc);
+  const std::unique_ptr<PowerDaemon> daemon = StartGovernor(&msr, GovernorKind::kOndemand);
+
+  Simulator sim(&pkg);
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
+  sim.Run(Seconds{2.0});
+
+  EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), 3800.0);  // Turbo maximum.
+  EXPECT_DOUBLE_EQ(pkg.core(1).requested_mhz().value(), 800.0);
+  EXPECT_EQ(daemon->fault_stats().failed_programs, 0);
+}
+
+// Dropped P-state writes are read back, traced unverified and retried with
+// backoff until one lands; unchanged targets are not rewritten.
+TEST(GovernorPolicy, DroppedWritesAreTracedUnverifiedAndRetried) {
+  Package pkg(SkylakeXeon4114());
+  MsrFile msr(&pkg);
+  Process proc(GetProfile("cpuburn"), 1);
+  pkg.AttachWork(0, &proc);
+  FaultPlan drop;
+  drop.end_s = Seconds{0.35};
+  drop.write_fail_p = 1.0;
+  msr.EnableFaults(drop);
+  obs::TraceRecorder recorder;
+  const std::unique_ptr<PowerDaemon> daemon =
+      StartGovernor(&msr, GovernorKind::kOndemand, {.sink = &recorder});
+
+  Simulator sim(&pkg);
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
+  sim.Run(Seconds{1.0});
+
+  // Start (t = 0) and the retry at 0.2 s are dropped; the retry at 0.5 s
+  // lands, and the first redistribution (0.6 s) is the last write.
+  int unverified = 0;
+  int verified = 0;
+  for (const obs::TraceEvent& e : recorder.Drain()) {
+    if (e.type == obs::TraceEventType::kPstateWrite) {
+      (e.code == 1 ? verified : unverified)++;
+    }
+  }
+  EXPECT_EQ(unverified, 2);
+  EXPECT_EQ(verified, 2);
+  EXPECT_EQ(daemon->fault_stats().failed_programs, 2);
+  EXPECT_DOUBLE_EQ(pkg.core(0).requested_mhz().value(), 3000.0);
+  EXPECT_DOUBLE_EQ(pkg.core(1).requested_mhz().value(), 800.0);
 }
 
 }  // namespace

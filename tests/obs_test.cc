@@ -21,7 +21,7 @@
 #include "src/cpusim/simulator.h"
 #include "src/experiments/harness.h"
 #include "src/experiments/scenarios.h"
-#include "src/governor/governor_daemon.h"
+#include "src/governor/governor.h"
 #include "src/msr/fault_plan.h"
 #include "src/msr/msr.h"
 #include "src/obs/export.h"
@@ -319,22 +319,22 @@ TEST(GovernorObsTest, TracesPeriodsAndFallbackTransitions) {
   MsrFile msr(&pkg);
   Process proc(GetProfile("cpuburn"), 1);
   pkg.AttachWork(0, &proc);
-  GovernorDaemon daemon(&msr, GovernorKind::kOndemand);
   obs::TraceRecorder recorder;
-  daemon.BindObs(&recorder, /*shard=*/2);
+  const std::unique_ptr<PowerDaemon> daemon = StartGovernor(
+      &msr, GovernorKind::kOndemand, {.sink = &recorder, .shard = 2});
 
   Simulator sim(&pkg);
-  sim.AddPeriodic(Seconds{0.1}, [&daemon](Seconds) { daemon.Step(); });
+  sim.AddPeriodic(daemon->config().period_s, [&daemon](Seconds) { daemon->Step(); });
   sim.Run(Seconds{2.0});
   FaultPlan storm;
   storm.seed = 11;
   storm.stale_sample_p = 1.0;
   msr.EnableFaults(storm);
   sim.Run(Seconds{0.5});  // Past kFallbackAfter: enters fallback.
-  ASSERT_TRUE(daemon.in_fallback());
+  ASSERT_EQ(daemon->degradation_state(), DegradationState::kFallback);
   msr.EnableFaults(FaultPlan{});
   sim.Run(Seconds{0.5});  // Recovers to nominal.
-  ASSERT_FALSE(daemon.in_fallback());
+  ASSERT_NE(daemon->degradation_state(), DegradationState::kFallback);
 
   int begins = 0;
   int ends = 0;
@@ -347,8 +347,8 @@ TEST(GovernorObsTest, TracesPeriodsAndFallbackTransitions) {
     } else if (e.type == obs::TraceEventType::kPeriodEnd) {
       ends++;
     } else if (e.type == obs::TraceEventType::kLadderTransition) {
-      // Governor ladder has only nominal (0) and fallback (2) rungs.
-      entered_fallback = entered_fallback || (e.index == 0 && e.code == 2);
+      // The ladder passes through hold (1) on its way to fallback (2).
+      entered_fallback = entered_fallback || (e.index == 1 && e.code == 2);
       recovered = recovered || (e.index == 2 && e.code == 0);
     }
   }

@@ -1,11 +1,13 @@
 // Declarative sweep API tests: axis expansion is golden-tested (names,
 // plot labels, and config forwarding are a contract with plotting
-// scripts), RunSweep returns what its parts return, and the JSON artifact
+// scripts), RunSweep returns what its parts return, the JSON artifact
 // round-trips through the repo's own parser the way `papdctl fleet` reads
-// it.
+// it, and the checked-in sample artifact is what its pinned spec writes.
 
 #include "src/experiments/sweep.h"
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -217,6 +219,38 @@ TEST(SweepRun, MatchesItsParts) {
 }
 
 // --- JSON artifact -----------------------------------------------------------
+
+// tests/data/fleet_sweep_sample.json, the artifact `papdctl fleet`'s ctests
+// and EXPERIMENTS.md read, is this spec's output byte for byte: the
+// 16-socket miniature fleet at the 256-socket default's per-socket load,
+// static against slo-feedback, 4 s warmup and 8 s measured.  On a mismatch
+// the fresh artifact is written to the test's working directory; copy it
+// over the sample when the change in the numbers is intended.
+TEST(SweepJson, SampleArtifactMatchesItsPinnedSpec) {
+  SweepSpec spec;
+  spec.name = "probe";
+  spec.target = SweepTarget::kFleet;
+  spec.fleet_base.rows = 2;
+  spec.fleet_base.racks_per_row = 2;
+  spec.fleet_base.sockets_per_rack = 4;
+  spec.fleet_base.users = 6.13e6;
+  spec.fleet_base.seed = 7;
+  spec.fleet_warmup_s = Seconds{4.0};
+  spec.fleet_measure_s = Seconds{8.0};
+  spec.axes.fleet_policies = {FleetPolicyStatic(), FleetPolicySloFeedback()};
+  const SweepResult result = RunSweep(spec, nullptr);
+
+  std::ifstream in(PAPD_TEST_DATA_DIR "/fleet_sweep_sample.json", std::ios::binary);
+  ASSERT_TRUE(in.good());
+  std::ostringstream sample;
+  sample << in.rdbuf();
+  const std::string fresh = SweepResultToJson(result);
+  if (fresh != sample.str()) {
+    WriteSweepJson(result, "fleet_sweep_sample.json");
+    ADD_FAILURE() << "the sample differs from its spec's output; the fresh artifact is "
+                     "fleet_sweep_sample.json in the working directory";
+  }
+}
 
 // A synthetic result (no fleet run needed) must serialize to JSON that the
 // repo's own parser — the one `papdctl fleet` uses — reads back exactly.
