@@ -40,12 +40,6 @@ Mhz PowersaveGovernor::Decide(double utilization, Mhz current_mhz) {
   return limits_.min_mhz;
 }
 
-Mhz UserspaceGovernor::Decide(double utilization, Mhz current_mhz) {
-  (void)utilization;
-  (void)current_mhz;
-  return Quantize(target_mhz_, limits_);
-}
-
 Mhz OndemandGovernor::Decide(double utilization, Mhz current_mhz) {
   (void)current_mhz;
   if (utilization >= kOndemandUpThreshold) {
@@ -72,8 +66,6 @@ const char* GovernorKindName(GovernorKind kind) {
       return "performance";
     case GovernorKind::kPowersave:
       return "powersave";
-    case GovernorKind::kUserspace:
-      return "userspace";
     case GovernorKind::kOndemand:
       return "ondemand";
     case GovernorKind::kConservative:
@@ -88,8 +80,6 @@ std::unique_ptr<FreqGovernor> MakeGovernor(GovernorKind kind, GovernorLimits lim
       return std::make_unique<PerformanceGovernor>(limits);
     case GovernorKind::kPowersave:
       return std::make_unique<PowersaveGovernor>(limits);
-    case GovernorKind::kUserspace:
-      return std::make_unique<UserspaceGovernor>(limits, limits.max_mhz);
     case GovernorKind::kOndemand:
       return std::make_unique<OndemandGovernor>(limits);
     case GovernorKind::kConservative:

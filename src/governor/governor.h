@@ -4,10 +4,12 @@
 // DVFS were per-core utilization-driven governors: Linux cpufreq's
 // `performance`, `powersave`, `userspace`, `ondemand` and `conservative`.
 // The paper's experiments use the userspace governor so the daemon can set
-// P-states directly; the others are implemented here both as substrate
-// (they are the incumbent mechanism the policies replace) and as baselines
-// for the governor-comparison bench: a utilization governor has no notion
-// of shares or priority, so it cannot provide differential power delivery.
+// P-states directly — here that is PowerDaemon itself, which writes the
+// P-state registers.  The other four are implemented here both as
+// substrate (they are the incumbent mechanism the policies replace) and as
+// baselines for the governor-comparison bench: a utilization governor has
+// no notion of shares or priority, so it cannot provide differential power
+// delivery.
 //
 // Each governor is a pure decision function from the previous decision and
 // the core's measured C0 utilization to the next frequency request.
@@ -66,21 +68,6 @@ class PowersaveGovernor : public FreqGovernor {
   GovernorLimits limits_;
 };
 
-// Holds whatever frequency was programmed through set_mhz (the governor the
-// paper's daemon uses on real hardware).
-class UserspaceGovernor : public FreqGovernor {
- public:
-  UserspaceGovernor(GovernorLimits limits, Mhz initial_mhz)
-      : limits_(limits), target_mhz_(initial_mhz) {}
-  std::string Name() const override { return "userspace"; }
-  Mhz Decide(double utilization, Mhz current_mhz) override;
-  void set_mhz(Mhz mhz) { target_mhz_ = mhz; }
-
- private:
-  GovernorLimits limits_;
-  Mhz target_mhz_;
-};
-
 // Linux ondemand: jump to max at 80% utilization, otherwise request
 // proportional-to-utilization with headroom (thresholds in governor.cc).
 class OndemandGovernor : public FreqGovernor {
@@ -105,11 +92,10 @@ class ConservativeGovernor : public FreqGovernor {
   GovernorLimits limits_;
 };
 
-enum class GovernorKind { kPerformance, kPowersave, kUserspace, kOndemand, kConservative };
+enum class GovernorKind { kPerformance, kPowersave, kOndemand, kConservative };
 
 const char* GovernorKindName(GovernorKind kind);
 
-// Factory; userspace starts at max_mhz.
 std::unique_ptr<FreqGovernor> MakeGovernor(GovernorKind kind, GovernorLimits limits);
 
 // How often a governed socket samples and decides (Linux cpufreq samples

@@ -58,60 +58,28 @@ PolicyPlatform MakePolicyPlatform(const PlatformSpec& spec) {
   return p;
 }
 
-PowerDaemon::PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfig config)
-    : msr_(msr),
-      apps_(std::move(apps)),
-      config_(config),
-      platform_(MakePolicyPlatform(msr->spec())),
-      turbostat_(msr) {
-  const PolicyInfo& info = GetPolicyInfo(config_.kind);
-  if (info.needs_per_core_power) {
-    PAPD_CHECK(msr_->spec().has_per_core_power)
-        << " " << info.name << " requires per-core power telemetry";
-  }
-  share_policy_ = MakePolicy(config_.kind, platform_);
-  if (info.is_priority) {
-    priority_policy_ = std::make_unique<PriorityPolicy>(platform_, config_.priority);
-  }
-  if (config_.audit) {
-    auditor_ = std::make_unique<PolicyAuditor>(platform_, msr_->spec().max_simultaneous_pstates);
-    if (share_policy_ != nullptr) {
-      share_policy_ = std::make_unique<AuditedPolicy>(std::move(share_policy_), auditor_.get());
-    }
-  }
-  if (config_.raw_telemetry) {
-    turbostat_.set_validation(false);
-  }
-  InitObs();
-}
-
 PowerDaemon::PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfig config,
-                         std::unique_ptr<ShareResource> custom_policy)
+                         std::unique_ptr<ShareResource> policy)
     : msr_(msr),
       apps_(std::move(apps)),
       config_(config),
       platform_(MakePolicyPlatform(msr->spec())),
       turbostat_(msr),
-      share_policy_(std::move(custom_policy)) {
-  PAPD_CHECK(share_policy_ != nullptr);
-  // Route the Start/Step dispatch through the share-policy path.
-  if (config_.kind == PolicyKind::kRaplOnly || config_.kind == PolicyKind::kStatic ||
-      config_.kind == PolicyKind::kPriority) {
-    config_.kind = PolicyKind::kFrequencyShares;
+      policy_(policy != nullptr ? std::move(policy) : MakePolicy(config_, platform_)) {
+  const PolicyInfo& info = GetPolicyInfo(config_.kind);
+  if (info.needs_per_core_power) {
+    PAPD_CHECK(msr_->spec().has_per_core_power)
+        << " " << info.name << " requires per-core power telemetry";
   }
   if (config_.audit) {
     auditor_ = std::make_unique<PolicyAuditor>(platform_, msr_->spec().max_simultaneous_pstates);
-    share_policy_ = std::make_unique<AuditedPolicy>(std::move(share_policy_), auditor_.get());
+    if (info.controls) {
+      policy_ = std::make_unique<AuditedPolicy>(std::move(policy_), auditor_.get());
+    }
   }
   if (config_.raw_telemetry) {
     turbostat_.set_validation(false);
   }
-  InitObs();
-}
-
-PowerDaemon::~PowerDaemon() = default;
-
-void PowerDaemon::InitObs() {
   // Turbostat's validation rejections land directly in this registry —
   // the one count both fault_stats() and the metrics exporters report.
   turbostat_.BindInvalidSampleCounter(metrics_.GetCounter("telemetry.invalid_samples"));
@@ -127,6 +95,8 @@ void PowerDaemon::InitObs() {
   h_overshoot_w_ = metrics_.GetHistogram("daemon.overshoot_w",
                                          {0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0});
 }
+
+PowerDaemon::~PowerDaemon() = default;
 
 DaemonFaultStats PowerDaemon::fault_stats() const {
   DaemonFaultStats stats;
@@ -165,9 +135,17 @@ void PowerDaemon::TransitionLadder(DegradationState to) {
 }
 
 void PowerDaemon::SetPowerLimit(Watts limit_w) {
+  const bool changed = limit_w != config_.power_limit_w;
   config_.power_limit_w = limit_w;
   if (config_.kind == PolicyKind::kRaplOnly) {
     msr_->WriteRaplLimitW(limit_w);
+  } else if (rapl_net_armed_ && changed) {
+    // An armed net follows the budget, never looser than the limit it
+    // replaced.  Only a change is written: a RAPL write resets the
+    // controller's ceiling and running average.
+    msr_->WriteRaplLimitW(rapl_limit_under_net_.has_value()
+                              ? std::min(limit_w, *rapl_limit_under_net_)
+                              : limit_w);
   }
 }
 
@@ -175,21 +153,7 @@ void PowerDaemon::Start() {
   if (config_.kind == PolicyKind::kRaplOnly) {
     msr_->WriteRaplLimitW(config_.power_limit_w);
   }
-  if (priority_policy_ != nullptr) {
-    targets_ = priority_policy_->InitialDistribution(apps_, config_.power_limit_w);
-    if (auditor_ != nullptr) {
-      auditor_->CheckPriorityInitialDistribution(config_.priority, apps_, config_.power_limit_w,
-                                                 targets_);
-    }
-  } else if (share_policy_ != nullptr) {
-    targets_ = share_policy_->InitialDistribution(apps_, config_.power_limit_w);
-  } else if (config_.kind == PolicyKind::kStatic) {
-    targets_.assign(apps_.size(),
-                    config_.static_mhz > Mhz{0.0} ? config_.static_mhz : platform_.max_mhz);
-  } else {
-    // kRaplOnly: all cores request the maximum; RAPL alone throttles.
-    targets_.assign(apps_.size(), platform_.max_mhz);
-  }
+  targets_ = policy_->InitialDistribution(apps_, config_.power_limit_w);
   Program(targets_);
 }
 
@@ -280,16 +244,7 @@ void PowerDaemon::StepWithSample(const TelemetrySample& sample) {
   if (tracing) {
     before_targets = targets_;
   }
-  if (priority_policy_ != nullptr) {
-    targets_ = priority_policy_->Redistribute(apps_, sample, config_.power_limit_w);
-    if (auditor_ != nullptr) {
-      auditor_->CheckPriorityRedistribution(config_.priority, apps_, sample,
-                                            config_.power_limit_w, targets_);
-    }
-  } else if (share_policy_ != nullptr) {
-    targets_ = share_policy_->Redistribute(apps_, sample, config_.power_limit_w);
-  }
-  // kRaplOnly/kStatic: monitoring only, targets untouched.
+  targets_ = policy_->Redistribute(apps_, sample, config_.power_limit_w);
   if (saturation_ != nullptr) {
     // HWP-style exploration: occasionally run one app a notch slower for a
     // period to map its IPS-vs-frequency response.

@@ -30,7 +30,9 @@
 //             how long telemetry stays dark.  A limit already in force at
 //             or below the budget (one set outside the daemon, or
 //             kRaplOnly's own) is left as it is; a looser one is replaced
-//             and put back when the net is disarmed.
+//             and put back when the net is disarmed.  An armed net follows
+//             later budget changes, never looser than the limit it
+//             replaced.
 //
 // Recovery is immediate: the first valid sample returns the daemon to
 // nominal, and because the policy's internal state was frozen during the
@@ -107,18 +109,20 @@ struct DaemonConfig {
   Watts power_limit_w{85.0};
   Seconds period_s{1.0};
   PriorityPolicy::Options priority;
-  // kStatic: the frequency every managed core is pinned to.
+  // kStatic: the frequency every managed core is pinned to (0 = the
+  // platform maximum).
   Mhz static_mhz{0.0};
   // Enable HWP-style saturation hints (paper Section 4.4): the daemon
   // detects each app's highest useful frequency at runtime and the policies
   // stop allocating beyond it, redistributing the excess.
   bool use_hwp_hints = false;
-  // Audit every initial-distribution, redistribution and translation step
-  // with the PolicyAuditor (src/policy/invariants.h): budget conservation,
-  // share monotonicity, grid alignment, the simultaneous-P-state limit —
-  // and, for controlling policies, the power ceiling (package power never
-  // exceeds the limit plus slack once converged).  A violation aborts with
-  // a formatted CHECK failure.
+  // Audit with the PolicyAuditor (src/policy/invariants.h): every
+  // translation step (grid alignment, the simultaneous-P-state limit) and,
+  // for controlling kinds, every initial-distribution and redistribution
+  // step (budget conservation, share monotonicity or the priority
+  // structure) and the power ceiling (package power never exceeds the
+  // limit plus slack once converged).  A violation aborts with a formatted
+  // CHECK failure.
   bool audit = true;
   // Graceful-degradation ladder (see the file comment).
   DegradationConfig degradation;
@@ -134,14 +138,14 @@ class PolicyAuditor;
 
 class PowerDaemon {
  public:
-  // Borrows the MSR file (and with it the platform).
-  PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfig config);
-
-  // Runs a caller-provided share policy instead of one of the built-in
-  // kinds (config.kind is ignored for policy selection).  This is the
-  // extension point for custom policies; see examples/custom_policy.cpp.
+  // Borrows the MSR file (and with it the platform).  Runs `policy`, or,
+  // when it is null, config.kind's policy from the registry.  A caller's
+  // policy is the extension point for custom policies (see
+  // examples/custom_policy.cpp); config.kind still decides RAPL
+  // programming, telemetry requirements and whether the policy is audited
+  // and traced as controlling.
   PowerDaemon(MsrFile* msr, std::vector<ManagedApp> apps, DaemonConfig config,
-              std::unique_ptr<ShareResource> custom_policy);
+              std::unique_ptr<ShareResource> policy = nullptr);
 
   ~PowerDaemon();
 
@@ -157,8 +161,8 @@ class PowerDaemon {
 
   // Changes the power limit at runtime (cluster managers adjust node caps
   // while jobs run, e.g. Facebook's Dynamo cited in the paper).  Takes
-  // effect at the next Step(); under kRaplOnly it reprograms the RAPL
-  // register immediately.
+  // effect at the next Step(); under kRaplOnly, or while the RAPL safety
+  // net is armed, it reprograms the RAPL register immediately.
   void SetPowerLimit(Watts limit_w);
 
   // Per-app frequency targets after the last iteration;
@@ -210,9 +214,6 @@ class PowerDaemon {
   // True for kinds that actively control P-states every period (the power
   // ceiling audit only makes sense for them).
   bool ActivelyControlling() const;
-  // Registers the fault counters/gauges and binds turbostat's
-  // invalid-sample counter into the registry (called from both ctors).
-  void InitObs();
   // Emits through config_.obs.sink when one is installed.  a/b accept any
   // payload obs::ToPayload handles (doubles or typed quantities).
   void Emit(obs::TraceEventType type, int32_t index, int32_t code, obs::TracePayload a,
@@ -230,8 +231,7 @@ class PowerDaemon {
   PolicyPlatform platform_;
   Turbostat turbostat_;
 
-  std::unique_ptr<ShareResource> share_policy_;
-  std::unique_ptr<PriorityPolicy> priority_policy_;
+  std::unique_ptr<ShareResource> policy_;
   std::unique_ptr<SaturationDetector> saturation_;
   std::unique_ptr<PolicyAuditor> auditor_;
 

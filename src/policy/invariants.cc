@@ -40,16 +40,6 @@ bool HasUsefulMaxCap(const ManagedApp& app) { return app.max_useful_mhz > Mhz{0.
 
 bool IsStopped(Mhz target) { return target == PriorityPolicy::kStopped; }
 
-Mhz RunningSum(const std::vector<Mhz>& targets) {
-  Mhz sum{0.0};
-  for (Mhz t : targets) {
-    if (!IsStopped(t)) {
-      sum += t;
-    }
-  }
-  return sum;
-}
-
 }  // namespace
 
 PolicyAuditor::PolicyAuditor(PolicyPlatform platform, int max_simultaneous_pstates,
@@ -66,7 +56,8 @@ void PolicyAuditor::Fail(const char* stage, const std::string& message) {
   violations_.push_back(Violation{stage, message});
 }
 
-PolicyAuditor::NativeView PolicyAuditor::NativeTargets(const ShareResource* policy) const {
+PolicyAuditor::NativeView PolicyAuditor::NativeTargets(const ShareResource* policy,
+                                                       const std::vector<Mhz>& targets) const {
   NativeView view;
   if (const auto* freq = dynamic_cast<const FrequencyShares*>(policy)) {
     view.domain = "frequency";
@@ -84,6 +75,12 @@ PolicyAuditor::NativeView PolicyAuditor::NativeTargets(const ShareResource* poli
       view.values.push_back(AsResourceUnits(w));
     }
     view.scale = AsResourceUnits(platform_.core_max_w);
+  } else if (dynamic_cast<const PriorityPolicy*>(policy) != nullptr) {
+    view.domain = "running-frequency";
+    for (Mhz t : targets) {
+      view.values.push_back(IsStopped(t) ? 0.0 : AsResourceUnits(t));
+    }
+    view.scale = AsResourceUnits(platform_.max_mhz);
   }
   return view;
 }
@@ -160,9 +157,14 @@ void PolicyAuditor::CheckInitialDistribution(const ShareResource* policy,
                                              const std::vector<ManagedApp>& apps,
                                              Watts limit_w,
                                              const std::vector<Mhz>& targets) {
-  CheckTargetsWellFormed("initial", apps, targets, /*allow_stopped=*/false);
-  const NativeView view = NativeTargets(policy);
-  CheckShareMonotonicity("initial", apps, view);
+  const auto* priority = dynamic_cast<const PriorityPolicy*>(policy);
+  CheckTargetsWellFormed("initial", apps, targets, /*allow_stopped=*/priority != nullptr);
+  const NativeView view = NativeTargets(policy, targets);
+  if (priority != nullptr) {
+    CheckPriorityStart(priority->options(), apps, targets);
+  } else {
+    CheckShareMonotonicity("initial", apps, view);
+  }
 
   // Power shares is the one policy whose initial native allocation is an
   // explicit budget split, so Σ targets must conserve the core budget:
@@ -186,16 +188,20 @@ void PolicyAuditor::CheckInitialDistribution(const ShareResource* policy,
 
   prev_native_ = view.values;
   prev_native_scale_ = view.scale;
-  prev_priority_.clear();
 }
 
 void PolicyAuditor::CheckRedistribution(const ShareResource* policy,
                                         const std::vector<ManagedApp>& apps,
                                         const TelemetrySample& sample, Watts limit_w,
                                         const std::vector<Mhz>& targets) {
-  CheckTargetsWellFormed("redistribute", apps, targets, /*allow_stopped=*/false);
-  const NativeView view = NativeTargets(policy);
-  CheckShareMonotonicity("redistribute", apps, view);
+  const auto* priority = dynamic_cast<const PriorityPolicy*>(policy);
+  CheckTargetsWellFormed("redistribute", apps, targets, /*allow_stopped=*/priority != nullptr);
+  const NativeView view = NativeTargets(policy, targets);
+  if (priority != nullptr) {
+    CheckPriorityOrder(priority->options(), apps, targets);
+  } else {
+    CheckShareMonotonicity("redistribute", apps, view);
+  }
 
   // Directional budget conservation: while package power is over the limit
   // (beyond the control deadband), a redistribution may only shrink the
@@ -226,13 +232,11 @@ void PolicyAuditor::CheckRedistribution(const ShareResource* policy,
   }
 }
 
-void PolicyAuditor::CheckPriorityInitialDistribution(const PriorityPolicy::Options& options,
-                                                     const std::vector<ManagedApp>& apps,
-                                                     Watts limit_w,
-                                                     const std::vector<Mhz>& targets) {
-  (void)limit_w;  // The priority policy starts from the class defaults and
-                  // lets the control loop pull power to the limit.
-  CheckTargetsWellFormed("initial", apps, targets, /*allow_stopped=*/true);
+void PolicyAuditor::CheckPriorityStart(const PriorityPolicy::Options& options,
+                                       const std::vector<ManagedApp>& apps,
+                                       const std::vector<Mhz>& targets) {
+  // The priority policy starts from the class defaults and lets the control
+  // loop pull power to the limit.
   if (targets.size() != apps.size()) {
     return;
   }
@@ -261,15 +265,11 @@ void PolicyAuditor::CheckPriorityInitialDistribution(const PriorityPolicy::Optio
       Fail("initial", os.str());
     }
   }
-  prev_priority_ = targets;
-  prev_native_.clear();
 }
 
-void PolicyAuditor::CheckPriorityRedistribution(const PriorityPolicy::Options& options,
-                                                const std::vector<ManagedApp>& apps,
-                                                const TelemetrySample& sample, Watts limit_w,
-                                                const std::vector<Mhz>& targets) {
-  CheckTargetsWellFormed("redistribute", apps, targets, /*allow_stopped=*/true);
+void PolicyAuditor::CheckPriorityOrder(const PriorityPolicy::Options& options,
+                                       const std::vector<ManagedApp>& apps,
+                                       const std::vector<Mhz>& targets) {
   if (targets.size() != apps.size()) {
     return;
   }
@@ -311,22 +311,6 @@ void PolicyAuditor::CheckPriorityRedistribution(const PriorityPolicy::Options& o
       }
     }
   }
-
-  // Directional budget conservation, counting only running apps.
-  if (prev_priority_.size() == targets.size() &&
-      sample.pkg_w > limit_w + kConservationDeadbandW) {
-    const Mhz prev_sum{RunningSum(prev_priority_)};
-    const Mhz new_sum{RunningSum(targets)};
-    const Mhz stage_tol{tol * static_cast<double>(targets.size())};
-    if (new_sum > prev_sum + stage_tol) {
-      std::ostringstream os;
-      os << " budget conservation broken: package power " << sample.pkg_w
-         << " W exceeds the limit " << limit_w << " W but the total running allocation grew"
-         << " from " << prev_sum << " to " << new_sum << " MHz";
-      Fail("redistribute", os.str());
-    }
-  }
-  prev_priority_ = targets;
 }
 
 void PolicyAuditor::CheckTranslation(const std::vector<Mhz>& programmed_mhz) {

@@ -22,12 +22,16 @@
 //     actuation left (the safety property the fault-injection suite
 //     stresses: no fault schedule may defeat the budget).
 //
+// The priority policy (Section 5.1) goes through the same entry points;
+// its two-level structure takes the place of share monotonicity.
+//
 // PolicyAuditor verifies all of these on every initial-distribution,
 // redistribution and translation step.  The daemon owns one behind
-// DaemonConfig::audit; AuditedPolicy wraps any ShareResource (including
-// user-provided custom policies) with the same checks.  In fatal mode a
-// violation aborts through PAPD_CHECK; in non-fatal mode violations are
-// recorded and logged so tests can assert on them.
+// DaemonConfig::audit and wraps every controlling policy, built-in or
+// custom, in an AuditedPolicy; the monitoring-only kRaplOnly and kStatic
+// are checked at translation only.  In fatal mode a violation aborts
+// through PAPD_CHECK; in non-fatal mode violations are recorded and logged
+// so tests can assert on them.
 
 #ifndef SRC_POLICY_INVARIANTS_H_
 #define SRC_POLICY_INVARIANTS_H_
@@ -65,26 +69,19 @@ class PolicyAuditor {
   PolicyAuditor(PolicyPlatform platform, int max_simultaneous_pstates,
                 AuditOptions options = {});
 
-  // --- Share policies --------------------------------------------------------
+  // --- Policy stages ---------------------------------------------------------
   // `policy` identifies the concrete policy (dynamic_cast) so allocations
   // can be audited in the policy's *native* resource domain: frequency
   // shares in MHz, performance shares in normalized IPS, power shares in
-  // watts.  Unknown (custom) policies get the generic target checks only.
+  // watts, the priority policy in the running apps' MHz (stopped apps count
+  // as 0) with its own structure checks.  Unknown (custom) policies get the
+  // generic target checks only.
   void CheckInitialDistribution(const ShareResource* policy,
                                 const std::vector<ManagedApp>& apps, Watts limit_w,
                                 const std::vector<Mhz>& targets);
   void CheckRedistribution(const ShareResource* policy, const std::vector<ManagedApp>& apps,
                            const TelemetrySample& sample, Watts limit_w,
                            const std::vector<Mhz>& targets);
-
-  // --- Priority policy -------------------------------------------------------
-  void CheckPriorityInitialDistribution(const PriorityPolicy::Options& options,
-                                        const std::vector<ManagedApp>& apps, Watts limit_w,
-                                        const std::vector<Mhz>& targets);
-  void CheckPriorityRedistribution(const PriorityPolicy::Options& options,
-                                   const std::vector<ManagedApp>& apps,
-                                   const TelemetrySample& sample, Watts limit_w,
-                                   const std::vector<Mhz>& targets);
 
   // --- Power ceiling ---------------------------------------------------------
   // Called by the daemon once per valid-sample control period for actively
@@ -119,12 +116,20 @@ class PolicyAuditor {
     std::vector<double> values;
     double scale = 1.0;  // Magnitude used for relative epsilon.
   };
-  NativeView NativeTargets(const ShareResource* policy) const;
+  NativeView NativeTargets(const ShareResource* policy, const std::vector<Mhz>& targets) const;
 
   void CheckTargetsWellFormed(const char* stage, const std::vector<ManagedApp>& apps,
                               const std::vector<Mhz>& targets, bool allow_stopped);
   void CheckShareMonotonicity(const char* stage, const std::vector<ManagedApp>& apps,
                               const NativeView& view);
+  // Priority structure at start: HP apps at their ceiling, LP apps stopped
+  // (starvation mode) or at the platform minimum.
+  void CheckPriorityStart(const PriorityPolicy::Options& options,
+                          const std::vector<ManagedApp>& apps, const std::vector<Mhz>& targets);
+  // Priority structure per step: only LP apps stop, and only with
+  // starvation on; no running HP app below a running LP app.
+  void CheckPriorityOrder(const PriorityPolicy::Options& options,
+                          const std::vector<ManagedApp>& apps, const std::vector<Mhz>& targets);
   void Fail(const char* stage, const std::string& message);
 
   PolicyPlatform platform_;
@@ -136,7 +141,6 @@ class PolicyAuditor {
   // (reset by every initial distribution).
   std::vector<double> prev_native_;
   double prev_native_scale_ = 1.0;
-  std::vector<Mhz> prev_priority_;
 
   // Power-ceiling state: the limit last seen (a change restarts grace),
   // grace periods left, and the current over-ceiling streak.
@@ -146,9 +150,10 @@ class PolicyAuditor {
 };
 
 // Decorator: audits a wrapped ShareResource on every call.  This is how
-// the daemon attaches the auditor to built-in and custom policies alike;
-// tests wrap deliberately broken policies in one to prove violations are
-// caught.  Borrows the auditor.
+// the daemon attaches the auditor to every controlling policy — the share
+// policies, the priority policy and custom policies alike; tests wrap
+// deliberately broken policies in one to prove violations are caught.
+// Borrows the auditor.
 class AuditedPolicy : public ShareResource {
  public:
   AuditedPolicy(std::unique_ptr<ShareResource> inner, PolicyAuditor* auditor);

@@ -5,8 +5,10 @@
 // it, one to parse a CLI string, one to decide whether the kind runs a
 // control loop.  Adding a policy meant finding every switch.  The registry
 // collapses them: each kind has one PolicyInfo row with its canonical
-// name, its behavioral traits and (for share-based kinds) a factory, and
-// everything else derives from the row.
+// name, its behavioral traits and a factory for its ShareResource, and
+// everything else derives from the row.  Every kind is a ShareResource:
+// the share policies, the priority policy, and (for kRaplOnly and
+// kStatic) a monitoring-only policy that holds one fixed target.
 
 #ifndef SRC_POLICY_POLICY_REGISTRY_H_
 #define SRC_POLICY_POLICY_REGISTRY_H_
@@ -18,6 +20,8 @@
 #include "src/policy/share_policy.h"
 
 namespace papd {
+
+struct DaemonConfig;
 
 enum class PolicyKind {
   // No daemon control: hardware RAPL capping alone (the paper's baseline).
@@ -35,23 +39,23 @@ struct PolicyInfo {
   // Canonical name, used by papdctl --policy, reports and bench JSON.
   const char* name = "";
   // True for kinds that actively redistribute every control period (false
-  // for the monitoring-only kRaplOnly and kStatic).
+  // for the monitoring-only kRaplOnly and kStatic).  With auditing on, the
+  // daemon audits exactly these kinds' policies (and custom ones under them).
   bool controls = false;
   // True when the policy requires per-core power telemetry (kPowerShares).
   bool needs_per_core_power = false;
-  // True for the priority policy, which the daemon constructs itself with
-  // PriorityPolicy::Options (it is not a ShareResource).
-  bool is_priority = false;
-  // Factory for share-based kinds; null for the others.
-  std::unique_ptr<ShareResource> (*make)(const PolicyPlatform& platform) = nullptr;
+  // Builds the kind's policy; reads the config fields the kind has
+  // (DaemonConfig::priority, DaemonConfig::static_mhz).  Every row has one.
+  std::unique_ptr<ShareResource> (*make)(const PolicyPlatform& platform,
+                                         const DaemonConfig& config) = nullptr;
 };
 
 // The registry row for `kind`; every PolicyKind has one.
 const PolicyInfo& GetPolicyInfo(PolicyKind kind);
 
-// Constructs the share policy for `kind`, or nullptr for kinds without one
-// (kRaplOnly, kStatic, kPriority).
-std::unique_ptr<ShareResource> MakePolicy(PolicyKind kind, const PolicyPlatform& platform);
+// Constructs the policy of `config.kind`; never null.
+std::unique_ptr<ShareResource> MakePolicy(const DaemonConfig& config,
+                                          const PolicyPlatform& platform);
 
 // The canonical name ("freq-shares", ...).
 const char* PolicyKindName(PolicyKind kind);

@@ -18,14 +18,16 @@
 #ifndef SRC_POLICY_PRIORITY_POLICY_H_
 #define SRC_POLICY_PRIORITY_POLICY_H_
 
+#include <string>
 #include <vector>
 
 #include "src/msr/turbostat.h"
 #include "src/policy/app_model.h"
+#include "src/policy/share_policy.h"
 
 namespace papd {
 
-class PriorityPolicy {
+class PriorityPolicy : public ShareResource {
  public:
   struct Options {
     // True (paper default): LP apps may be left stopped / be stopped when
@@ -40,16 +42,20 @@ class PriorityPolicy {
   PriorityPolicy(PolicyPlatform platform, Options options)
       : platform_(platform), options_(options) {}
 
+  std::string Name() const override { return "priority"; }
+
   // HP apps at the maximum P-state; LP apps stopped (starvation mode) or at
   // the minimum P-state.  The control loop starts LP apps as measured
   // headroom allows.
-  std::vector<Mhz> InitialDistribution(const std::vector<ManagedApp>& apps, Watts limit_w);
+  std::vector<Mhz> InitialDistribution(const std::vector<ManagedApp>& apps,
+                                       Watts limit_w) override;
 
   // One control iteration.
   std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& apps,
-                                const TelemetrySample& sample, Watts limit_w);
+                                const TelemetrySample& sample, Watts limit_w) override;
 
   const std::vector<Mhz>& targets() const { return targets_; }
+  const Options& options() const { return options_; }
 
  private:
   // Applies a frequency delta across the running apps selected by `pick`,

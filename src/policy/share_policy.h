@@ -1,15 +1,17 @@
 // Common interface of every per-app frequency policy the daemon runs: the
-// proportional-share policies, custom policies (examples/custom_policy.cpp)
-// and the cpufreq governors (StartGovernor in src/governor/governor.h).
+// proportional-share policies, the priority policy, the monitoring-only
+// policy of kRaplOnly and kStatic (src/policy/policy_registry.cc), custom
+// policies (examples/custom_policy.cpp) and the cpufreq governors
+// (StartGovernor in src/governor/governor.h).
 //
-// Paper Section 5.2: every share mechanism is implemented with three
-// functions — an *initial distribution* run when applications start, a
-// *redistribution* run whenever package power deviates from the limit
-// (applying min-funding revocation to skip saturated cores), and a
-// *translation* that converts resource units into programmable
-// frequencies.  ShareResource captures the first two; translation to
-// quantized per-core (or three-slot, on Ryzen) frequencies is done by the
-// daemon's frequency programmer, identically for all policies.
+// Paper Section 5.2: every policy is implemented with three functions — an
+// *initial distribution* run when applications start, a *redistribution*
+// run every control period (for the share policies, applying min-funding
+// revocation to skip saturated cores), and a *translation* that converts
+// resource units into programmable frequencies.  ShareResource captures
+// the first two; translation to quantized per-core (or three-slot, on
+// Ryzen) frequencies is done by the daemon's frequency programmer,
+// identically for all policies.
 //
 // Every implementation consumes only telemetry a real platform provides
 // (package watts, per-core active MHz / IPS / watts) and produces per-app

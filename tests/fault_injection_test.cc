@@ -446,6 +446,39 @@ TEST(FaultInjection, SafetyNetRestoresLooserExternalCap) {
   EXPECT_DOUBLE_EQ(rig.pkg.rapl().limit_w().value(), 70.0);
 }
 
+// An armed net follows later budget changes (a budget-tree leaf whose
+// programs never verify is regranted every period): it tightens to a lower
+// budget and loosens to a higher one, and the hardware holds each.
+TEST(FaultInjection, ArmedSafetyNetFollowsBudgetChanges) {
+  Rig rig(SkylakeXeon4114());
+  for (int i = 0; i < 6; i++) {
+    rig.AddApp(i % 2 ? "leela" : "cactusBSSN", 1.0);
+  }
+  PowerDaemon daemon(&rig.msr, rig.apps,
+                     {.kind = PolicyKind::kFrequencyShares, .power_limit_w = Watts{60}});
+  daemon.Start();
+  rig.Run(&daemon, Seconds{20.0});
+  ASSERT_FALSE(rig.pkg.rapl().enabled());
+
+  FaultPlan drops;
+  drops.seed = 3;
+  drops.write_fail_p = 1.0;
+  rig.msr.EnableFaults(drops);
+  daemon.SetPowerLimit(Watts{50.0});
+  rig.Run(&daemon, Seconds{10.0});
+  ASSERT_TRUE(rig.pkg.rapl().enabled());
+  ASSERT_DOUBLE_EQ(rig.pkg.rapl().limit_w().value(), 50.0);
+
+  daemon.SetPowerLimit(Watts{35.0});
+  rig.Run(&daemon, Seconds{10.0});
+  EXPECT_DOUBLE_EQ(rig.pkg.rapl().limit_w().value(), 35.0);
+  EXPECT_NEAR(rig.pkg.rapl().running_average_w().value(), 35.0, 1.0);
+
+  daemon.SetPowerLimit(Watts{45.0});
+  rig.Run(&daemon, Seconds{10.0});
+  EXPECT_DOUBLE_EQ(rig.pkg.rapl().limit_w().value(), 45.0);
+}
+
 // --- Acceptance sweep --------------------------------------------------------
 
 // Under every standard fault schedule the hardened, audited daemon keeps the

@@ -28,14 +28,6 @@ TEST(Governors, PowersaveAlwaysMin) {
   EXPECT_DOUBLE_EQ(g.Decide(1.0, Mhz{3000}).value(), 800.0);
 }
 
-TEST(Governors, UserspaceHoldsProgrammedValue) {
-  UserspaceGovernor g(Limits(), Mhz{2200});
-  EXPECT_DOUBLE_EQ(g.Decide(0.5, Mhz{1000}).value(), 2200.0);
-  g.set_mhz(Mhz{1550});  // Off-grid: quantized to nearest step.
-  const Mhz f{g.Decide(0.5, Mhz{1000})};
-  EXPECT_TRUE(f == Mhz{1500.0} || f == Mhz{1600.0});
-}
-
 TEST(Governors, OndemandJumpsToMaxWhenBusy) {
   OndemandGovernor g(Limits());
   EXPECT_DOUBLE_EQ(g.Decide(0.95, Mhz{800}).value(), 3000.0);
@@ -70,8 +62,8 @@ TEST(Governors, ConservativeClampsAtRangeEnds) {
 
 TEST(Governors, FactoryProducesAllKinds) {
   for (GovernorKind kind :
-       {GovernorKind::kPerformance, GovernorKind::kPowersave, GovernorKind::kUserspace,
-        GovernorKind::kOndemand, GovernorKind::kConservative}) {
+       {GovernorKind::kPerformance, GovernorKind::kPowersave, GovernorKind::kOndemand,
+        GovernorKind::kConservative}) {
     auto g = MakeGovernor(kind, Limits());
     ASSERT_NE(g, nullptr);
     EXPECT_EQ(g->Name(), GovernorKindName(kind));

@@ -277,9 +277,9 @@ TEST(PolicyAuditorNegative, PriorityInversionCaught) {
   const PolicyPlatform p;
   PolicyAuditor auditor(p, 0, {.fatal = false});
   const std::vector<ManagedApp> apps = MakeApps({1.0, 1.0}, {true, false});
-  const PriorityPolicy::Options options;
-  auditor.CheckPriorityRedistribution(options, apps, MakeSample(p.num_cores, Watts{45.0}, false),
-                                      Watts{45.0}, {Mhz{1000.0}, Mhz{2000.0}});
+  const PriorityPolicy policy(p, PriorityPolicy::Options{});
+  auditor.CheckRedistribution(&policy, apps, MakeSample(p.num_cores, Watts{45.0}, false),
+                              Watts{45.0}, {Mhz{1000.0}, Mhz{2000.0}});
   ASSERT_GE(auditor.violation_count(), 1);
   EXPECT_NE(auditor.violations()[0].message.find("inversion"), std::string::npos);
 }
@@ -288,9 +288,9 @@ TEST(PolicyAuditorNegative, StoppedHighPriorityAppCaught) {
   const PolicyPlatform p;
   PolicyAuditor auditor(p, 0, {.fatal = false});
   const std::vector<ManagedApp> apps = MakeApps({1.0, 1.0}, {true, false});
-  const PriorityPolicy::Options options;
-  auditor.CheckPriorityRedistribution(options, apps, MakeSample(p.num_cores, Watts{45.0}, false),
-                                      Watts{45.0}, {PriorityPolicy::kStopped, Mhz{1500.0}});
+  const PriorityPolicy policy(p, PriorityPolicy::Options{});
+  auditor.CheckRedistribution(&policy, apps, MakeSample(p.num_cores, Watts{45.0}, false),
+                              Watts{45.0}, {PriorityPolicy::kStopped, Mhz{1500.0}});
   EXPECT_GE(auditor.violation_count(), 1);
 }
 
@@ -298,10 +298,9 @@ TEST(PolicyAuditorNegative, StopWithStarvationDisabledCaught) {
   const PolicyPlatform p;
   PolicyAuditor auditor(p, 0, {.fatal = false});
   const std::vector<ManagedApp> apps = MakeApps({1.0, 1.0}, {true, false});
-  PriorityPolicy::Options options;
-  options.starve_lp = false;
-  auditor.CheckPriorityRedistribution(options, apps, MakeSample(p.num_cores, Watts{45.0}, false),
-                                      Watts{45.0}, {Mhz{2000.0}, PriorityPolicy::kStopped});
+  const PriorityPolicy policy(p, {.starve_lp = false});
+  auditor.CheckRedistribution(&policy, apps, MakeSample(p.num_cores, Watts{45.0}, false),
+                              Watts{45.0}, {Mhz{2000.0}, PriorityPolicy::kStopped});
   EXPECT_GE(auditor.violation_count(), 1);
 }
 
@@ -309,17 +308,41 @@ TEST(PolicyAuditorNegative, PriorityInitialDistributionChecked) {
   const PolicyPlatform p;
   PolicyAuditor auditor(p, 0, {.fatal = false});
   const std::vector<ManagedApp> apps = MakeApps({1.0, 1.0}, {true, false});
-  const PriorityPolicy::Options options;
+  const PriorityPolicy policy(p, PriorityPolicy::Options{});
 
   // Clean: HP at its ceiling, LP stopped (starvation mode).
-  auditor.CheckPriorityInitialDistribution(options, apps, Watts{45.0},
-                                           {p.max_mhz, PriorityPolicy::kStopped});
+  auditor.CheckInitialDistribution(&policy, apps, Watts{45.0},
+                                   {p.max_mhz, PriorityPolicy::kStopped});
   EXPECT_EQ(auditor.violation_count(), 0);
 
   // Broken: HP starting below its ceiling.
-  auditor.CheckPriorityInitialDistribution(options, apps, Watts{45.0},
-                                           {Mhz{2000.0}, PriorityPolicy::kStopped});
+  auditor.CheckInitialDistribution(&policy, apps, Watts{45.0},
+                                   {Mhz{2000.0}, PriorityPolicy::kStopped});
   EXPECT_GE(auditor.violation_count(), 1);
+}
+
+// A priority policy that runs its LP app above its HP app: the decorator
+// audits it like any other policy.
+class InvertedPriorityPolicy : public PriorityPolicy {
+ public:
+  using PriorityPolicy::PriorityPolicy;
+  std::vector<Mhz> Redistribute(const std::vector<ManagedApp>& /*apps*/,
+                                const TelemetrySample& /*sample*/, Watts /*limit_w*/) override {
+    return {Mhz{1000.0}, Mhz{2000.0}};  // HP app first, LP app second.
+  }
+};
+
+TEST(PolicyAuditorNegative, AuditedPolicyCatchesPriorityInversion) {
+  const PolicyPlatform p;
+  PolicyAuditor auditor(p, 0, {.fatal = false});
+  AuditedPolicy audited(std::make_unique<InvertedPriorityPolicy>(p, PriorityPolicy::Options{}),
+                        &auditor);
+  const std::vector<ManagedApp> apps = MakeApps({1.0, 1.0}, {true, false});
+  audited.InitialDistribution(apps, Watts{45.0});
+  EXPECT_EQ(auditor.violation_count(), 0);
+  audited.Redistribute(apps, MakeSample(p.num_cores, Watts{45.0}, false), Watts{45.0});
+  ASSERT_GE(auditor.violation_count(), 1);
+  EXPECT_NE(auditor.violations()[0].message.find("inversion"), std::string::npos);
 }
 
 // --- Min-funding split audits -------------------------------------------------

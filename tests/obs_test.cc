@@ -499,16 +499,12 @@ TEST(PolicyRegistryTest, CoversEveryKindWithConsistentMetadata) {
   EXPECT_EQ(FindPolicyByName("no-such-policy"), nullptr);
 }
 
-TEST(PolicyRegistryTest, MakePolicyBuildsSharePoliciesOnly) {
+TEST(PolicyRegistryTest, MakePolicyBuildsEveryKind) {
   const PolicyPlatform platform = MakePolicyPlatform(SkylakeXeon4114());
-  EXPECT_NE(MakePolicy(PolicyKind::kFrequencyShares, platform), nullptr);
-  EXPECT_NE(MakePolicy(PolicyKind::kPerformanceShares, platform), nullptr);
-  // Non-share kinds have no ShareResource factory.
-  EXPECT_EQ(MakePolicy(PolicyKind::kRaplOnly, platform), nullptr);
-  EXPECT_EQ(MakePolicy(PolicyKind::kStatic, platform), nullptr);
-  EXPECT_EQ(MakePolicy(PolicyKind::kPriority, platform), nullptr);
-  // Trait bits drive the daemon's dispatch.
-  EXPECT_TRUE(GetPolicyInfo(PolicyKind::kPriority).is_priority);
+  for (PolicyKind kind : AllPolicyKinds()) {
+    EXPECT_NE(MakePolicy(DaemonConfig{.kind = kind}, platform), nullptr) << PolicyKindName(kind);
+  }
+  // Trait bits drive the daemon's telemetry check, auditing and tracing.
   EXPECT_TRUE(GetPolicyInfo(PolicyKind::kPowerShares).needs_per_core_power);
   EXPECT_FALSE(GetPolicyInfo(PolicyKind::kRaplOnly).controls);
   EXPECT_TRUE(GetPolicyInfo(PolicyKind::kFrequencyShares).controls);
