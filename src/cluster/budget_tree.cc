@@ -97,8 +97,8 @@ void BudgetTree::Flatten(const BudgetNodeConfig& cfg, int parent, int level) {
     nodes_[static_cast<size_t>(parent)].children.push_back(index);
   }
   if (cfg.children.empty()) {
-    PAPD_CHECK(cfg.socket.has_value()) << " leaf node " << node.path << " has no socket config";
-    node.socket_cfg = &*cfg.socket;
+    PAPD_CHECK(cfg.socket != nullptr) << " leaf node " << node.path << " has no socket config";
+    node.socket_cfg = cfg.socket.get();
     leaves_.push_back(index);
   } else {
     for (const BudgetNodeConfig& child : cfg.children) {
@@ -651,7 +651,7 @@ BudgetTreeConfig MakeFlatRack(std::vector<RackSocketConfig> sockets, Watts budge
     BudgetNodeConfig leaf;
     leaf.name = "socket" + std::to_string(s);
     leaf.shares = sockets[s].shares;
-    leaf.socket = std::move(sockets[s]);
+    leaf.socket = std::make_shared<const RackSocketConfig>(std::move(sockets[s]));
     config.root.children.push_back(std::move(leaf));
   }
   return config;
@@ -666,6 +666,9 @@ BudgetTreeConfig MakeUniformCluster(int rows, int racks_per_row, int sockets_per
   BudgetTreeConfig config;
   config.budget_w = budget_w;
   config.root.name = "dc";
+  // A homogeneous cluster's leaves all hold this one copy.
+  const std::shared_ptr<const RackSocketConfig> shared =
+      decorrelate_seeds ? nullptr : std::make_shared<const RackSocketConfig>(socket_proto);
   int leaf = 0;
   for (int r = 0; r < rows; r++) {
     BudgetNodeConfig row;
@@ -676,10 +679,13 @@ BudgetTreeConfig MakeUniformCluster(int rows, int racks_per_row, int sockets_per
       for (int s = 0; s < sockets_per_rack; s++) {
         BudgetNodeConfig socket;
         socket.name = "socket" + std::to_string(s);
-        socket.socket = socket_proto;
         if (decorrelate_seeds) {
           // Decorrelate the cloned workloads: same mix, different phase.
-          socket.socket->seed = socket_proto.seed + 7919ULL * static_cast<uint64_t>(leaf);
+          RackSocketConfig own = socket_proto;
+          own.seed = socket_proto.seed + 7919ULL * static_cast<uint64_t>(leaf);
+          socket.socket = std::make_shared<const RackSocketConfig>(std::move(own));
+        } else {
+          socket.socket = shared;
         }
         leaf++;
         rack.children.push_back(std::move(socket));

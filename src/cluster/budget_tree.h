@@ -43,7 +43,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -91,7 +90,11 @@ struct BudgetNodeConfig {
   Watts max_budget_w{0.0};
   std::vector<BudgetNodeConfig> children;
   // Required for leaves (empty `children`), ignored for interior nodes.
-  std::optional<RackSocketConfig> socket;
+  // Immutable and shared: leaves built from one prototype hold one config
+  // (MakeUniformCluster), and copying a tree config copies pointers.  A
+  // config is never changed once it is in a tree; to vary one leaf, give it
+  // its own copy.
+  std::shared_ptr<const RackSocketConfig> socket;
 };
 
 struct BudgetTreeConfig {
@@ -296,10 +299,11 @@ BudgetTreeConfig MakeFlatRack(std::vector<RackSocketConfig> sockets, Watts budge
 
 // A uniform rows x racks x sockets topology ("dc/row{r}/rack{k}/socket{s}")
 // with every socket cloned from `socket_proto`.  By default seeds are
-// perturbed per leaf so the cloned workloads decorrelate; pass
-// decorrelate_seeds = false for a truly homogeneous fleet (every leaf
-// bit-identical), the configuration replica memoization collapses to a
-// single equivalence class.
+// perturbed per leaf so the cloned workloads decorrelate, and every leaf
+// holds its own config; pass decorrelate_seeds = false for a truly
+// homogeneous fleet (every leaf bit-identical), whose leaves all share one
+// copy of `socket_proto`: the configuration replica memoization collapses
+// to a single equivalence class, in memory and setup time O(1) per leaf.
 BudgetTreeConfig MakeUniformCluster(int rows, int racks_per_row, int sockets_per_rack,
                                     const RackSocketConfig& socket_proto, Watts budget_w,
                                     bool decorrelate_seeds = true);

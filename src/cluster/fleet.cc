@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -97,8 +98,7 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(FleetConfig::slo)
         const bool hot = hot_[static_cast<size_t>(socket_index)];
         BudgetNodeConfig leaf;
         leaf.name = "socket" + std::to_string(j);
-        leaf.socket = proto;
-        RackSocketConfig& sc = *leaf.socket;
+        RackSocketConfig sc = proto;
         // Decorrelate arrival/service streams per socket (same prime
         // stride MakeUniformCluster uses).
         sc.seed = cfg_.seed + 7919u * static_cast<uint64_t>(socket_index);
@@ -110,6 +110,7 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(FleetConfig::slo)
         sc.websearch_params.open_loop.users = cfg_.users * weight / weight_sum;
         sc.shares = cfg_.priority_hot && hot ? kPriorityBoost : 1.0;
         leaf.shares = sc.shares;
+        leaf.socket = std::make_shared<const RackSocketConfig>(std::move(sc));
         rack.shares += leaf.shares;
         rack.children.push_back(std::move(leaf));
       }

@@ -13,6 +13,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -286,7 +287,7 @@ TEST(BudgetTree, ParallelStepThroughMaterializationMatchesSerial) {
 TEST(BudgetTree, SingleLeafDegenerateTree) {
   BudgetTreeConfig cfg;
   cfg.root.name = "solo";
-  cfg.root.socket = MakeSocket(/*rotate=*/0, /*seed=*/7);
+  cfg.root.socket = std::make_shared<const RackSocketConfig>(MakeSocket(/*rotate=*/0, /*seed=*/7));
   cfg.budget_w = Watts{100.0};
   BudgetTree tree(cfg);
   EXPECT_EQ(tree.num_nodes(), 1);
@@ -314,7 +315,7 @@ TEST(BudgetTree, OneChildInteriorChain) {
   cfg.root.children[0].children[0].children.emplace_back();
   BudgetNodeConfig& leaf = cfg.root.children[0].children[0].children[0];
   leaf.name = "socket0";
-  leaf.socket = MakeSocket(/*rotate=*/0, /*seed=*/11);
+  leaf.socket = std::make_shared<const RackSocketConfig>(MakeSocket(/*rotate=*/0, /*seed=*/11));
   cfg.budget_w = Watts{120.0};
   BudgetTree tree(cfg);
   EXPECT_EQ(tree.num_nodes(), 4);

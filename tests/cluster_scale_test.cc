@@ -23,7 +23,8 @@
 //
 //   4. The scale-out contract: a 131072-core tree with every fast path on
 //      holds the cap invariant, steps without allocating, and simulates at
-//      least 1e9 core-ticks per wall second.
+//      least 1e9 core-ticks per wall second; its leaves share one socket
+//      config, so building it costs a few allocations per leaf.
 
 #include <gtest/gtest.h>
 
@@ -512,6 +513,89 @@ TEST(ClusterScale, ParallelTreeStepIsAllocationFree) {
   }
   EXPECT_EQ(AllocationCount() - allocs_before, 0) << "parallel tree steps allocated";
   EXPECT_LE(tree.max_grant_overrun_w(), Watts{1e-6});
+}
+
+// --- Construction cost of a homogeneous tree ----------------------------------
+
+// Heap allocations made by MakeUniformCluster plus the BudgetTree constructor
+// for the 131072-core tree's shape (MakeHoldSocket leaves, every fast path
+// on, one replica class) at rows x racks x sockets leaves.  The config is
+// passed as an lvalue, so the constructor's copy is counted too.
+long CountHomogeneousBuildAllocations(int rows, int racks_per_row, int sockets_per_rack) {
+  const RackSocketConfig proto = MakeHoldSocket();
+  const Watts floor = SocketFloorW(proto);
+  const Watts budget_w{(floor + (SocketCeilingW(proto) - floor) * 0.6) *
+                       static_cast<double>(rows * racks_per_row * sockets_per_rack)};
+  const long allocs_before = AllocationCount();
+  BudgetTreeConfig cfg = MakeUniformCluster(rows, racks_per_row, sockets_per_rack, proto,
+                                            budget_w, /*decorrelate_seeds=*/false);
+  cfg.arbiter = RackArbiterKind::kShares;
+  cfg.tick.policy = TickPolicy::kMultiRate;
+  cfg.tick.socket_hold = true;
+  cfg.tick.memoize_replicas = true;
+  cfg.record_history = false;
+  BudgetTree tree(cfg);
+  const long allocs = AllocationCount() - allocs_before;
+  EXPECT_EQ(tree.num_replica_classes(), 1);
+  return allocs;
+}
+
+// Identical leaves share one socket config, so each extra leaf costs only
+// its tree bookkeeping (node path, child and member slots), never a config
+// copy: a few allocations per leaf, independent of the config's size.
+TEST(ClusterScale, HomogeneousTreeBuildCostsConstantPerLeaf) {
+  constexpr double kMaxAllocsPerExtraLeaf = 4.0;
+  const long small = CountHomogeneousBuildAllocations(4, 4, 4);
+  const long large = CountHomogeneousBuildAllocations(4, 16, 16);
+  const double per_leaf = static_cast<double>(large - small) / (4 * 16 * 16 - 4 * 4 * 4);
+  std::printf("homogeneous tree build: %ld allocations at 64 leaves, %ld at 1024 "
+              "(%.2f per extra leaf)\n",
+              small, large, per_leaf);
+  EXPECT_LE(per_leaf, kMaxAllocsPerExtraLeaf);
+}
+
+// Every socket config of a uniform cluster, in leaf order.
+std::vector<const RackSocketConfig*> LeafConfigs(const BudgetTreeConfig& cfg) {
+  std::vector<const RackSocketConfig*> configs;
+  for (const BudgetNodeConfig& row : cfg.root.children) {
+    for (const BudgetNodeConfig& rack : row.children) {
+      for (const BudgetNodeConfig& socket : rack.children) {
+        configs.push_back(socket.socket.get());
+      }
+    }
+  }
+  return configs;
+}
+
+// A homogeneous cluster's leaves all hold one config object equal to the
+// prototype; a decorrelated one gives every leaf its own, seeded
+// proto.seed + 7919 * leaf and otherwise the prototype.
+TEST(ClusterScale, UniformClusterSharesConfigOnlyWhenHomogeneous) {
+  const RackSocketConfig proto = MakeSocket(/*seed=*/42);
+  const BudgetTreeConfig homogeneous =
+      MakeUniformCluster(2, 2, 3, proto, Watts{600.0}, /*decorrelate_seeds=*/false);
+  const std::vector<const RackSocketConfig*> shared = LeafConfigs(homogeneous);
+  ASSERT_EQ(shared.size(), 12u);
+  ASSERT_NE(shared[0], nullptr);
+  EXPECT_TRUE(*shared[0] == proto);
+  for (const RackSocketConfig* config : shared) {
+    EXPECT_EQ(config, shared[0]);
+  }
+
+  const BudgetTreeConfig decorrelated =
+      MakeUniformCluster(2, 2, 3, proto, Watts{600.0}, /*decorrelate_seeds=*/true);
+  const std::vector<const RackSocketConfig*> own = LeafConfigs(decorrelated);
+  ASSERT_EQ(own.size(), 12u);
+  for (size_t leaf = 0; leaf < own.size(); leaf++) {
+    ASSERT_NE(own[leaf], nullptr);
+    EXPECT_EQ(own[leaf]->seed, proto.seed + 7919ULL * leaf) << "leaf " << leaf;
+    RackSocketConfig reseeded = *own[leaf];
+    reseeded.seed = proto.seed;
+    EXPECT_TRUE(reseeded == proto) << "leaf " << leaf;
+    for (size_t other = 0; other < leaf; other++) {
+      EXPECT_NE(own[leaf], own[other]) << "leaves " << other << " and " << leaf;
+    }
+  }
 }
 
 // --- The 131072-core tree ----------------------------------------------------

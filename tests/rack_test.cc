@@ -225,8 +225,10 @@ TEST(RackDeathTest, InvertedSocketBudgetBoundsAbort) {
   // std::clamp(demand, floor, ceiling) undefined behavior; construction
   // must refuse the config instead.
   BudgetTreeConfig cfg = MakeRack(/*sockets=*/2, /*budget_w=*/Watts{160.0});
-  cfg.root.children[0].socket->min_budget_w = Watts{80.0};
-  cfg.root.children[0].socket->max_budget_w = Watts{40.0};
+  RackSocketConfig inverted = SocketOf(cfg, 0);
+  inverted.min_budget_w = Watts{80.0};
+  inverted.max_budget_w = Watts{40.0};
+  cfg.root.children[0].socket = std::make_shared<const RackSocketConfig>(std::move(inverted));
   EXPECT_DEATH({ BudgetTree rack(cfg); }, "floor above ceiling");
 }
 

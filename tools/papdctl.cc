@@ -13,6 +13,7 @@
 //   papdctl fleet --sweep FILE [--point NAME]
 //
 // Policies: rapl, static, priority, freq-shares, perf-shares, power-shares.
+// --hwp (saturation hints) needs a controlling policy, not rapl or static.
 //
 // The `fleet` subcommand reads a sweep JSON artifact (WriteSweepJson — see
 // src/experiments/sweep.h): without --point it tabulates every sweep point's fleet-level outcome; with
@@ -169,6 +170,13 @@ Options Parse(int argc, char** argv) {
   }
   if (!(opt.period_s > Seconds{0.0})) {
     std::fprintf(stderr, "--period must be positive\n");
+    Usage(argv[0]);
+  }
+  // Saturation probes lower a target for a period; a monitoring-only policy
+  // has no redistribution for the hints to feed, so they would only perturb
+  // its fixed targets.
+  if (opt.hwp && !GetPolicyInfo(opt.policy).controls) {
+    std::fprintf(stderr, "--hwp needs a controlling policy\n");
     Usage(argv[0]);
   }
   if (static_cast<int>(opt.apps.size()) > opt.platform.num_cores) {
@@ -376,21 +384,23 @@ int Run(const Options& opt) {
   }
 
   Simulator sim(&pkg);
-  if (opt.policy != PolicyKind::kStatic) {
-    sim.AddPeriodic(opt.period_s, [&daemon, &csv](Seconds) {
-      daemon.Step();
-      if (!csv.is_open()) {
-        return;
-      }
-      const TelemetrySample& sample = daemon.last_sample();
-      csv << sample.t << "," << sample.pkg_w;
-      for (const ManagedApp& app : daemon.apps()) {
-        const auto& core = sample.cores[static_cast<size_t>(app.cpu)];
-        csv << "," << core.active_mhz << "," << core.ips;
-      }
-      csv << "\n";
-    });
-  }
+  // Every policy steps, static included: its step samples the package for
+  // the report, the CSV and the trace.  Under rapl and static (no --hwp)
+  // it re-issues the unchanged targets, which Program skips as already
+  // verified.
+  sim.AddPeriodic(opt.period_s, [&daemon, &csv](Seconds) {
+    daemon.Step();
+    if (!csv.is_open()) {
+      return;
+    }
+    const TelemetrySample& sample = daemon.last_sample();
+    csv << sample.t << "," << sample.pkg_w;
+    for (const ManagedApp& app : daemon.apps()) {
+      const auto& core = sample.cores[static_cast<size_t>(app.cpu)];
+      csv << "," << core.active_mhz << "," << core.ips;
+    }
+    csv << "\n";
+  });
   if (opt.trace) {
     sim.AddPeriodic(Seconds{5.0}, [&daemon](Seconds now) {
       if (daemon.metrics().rows().empty()) {

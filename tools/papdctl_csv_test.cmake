@@ -2,10 +2,16 @@
 # the header, then one row per 1 s control period, in order (row N is
 # stamped at N s, give or take a tick).
 #
-#   cmake -DPAPDCTL=<papdctl binary> -DCSV=<output file> -P papdctl_csv_test.cmake
+#   cmake -DPAPDCTL=<papdctl binary> -DCSV=<output file>
+#         [-DPOLICY_ARGS=<policy arguments, ;-separated>] -P papdctl_csv_test.cmake
+#
+# POLICY_ARGS defaults to "--policy;freq-shares".
+if(NOT DEFINED POLICY_ARGS)
+  set(POLICY_ARGS --policy freq-shares)
+endif()
 file(REMOVE ${CSV})
 execute_process(
-  COMMAND ${PAPDCTL} --policy freq-shares --limit 40 --duration 20
+  COMMAND ${PAPDCTL} ${POLICY_ARGS} --limit 40 --duration 20
           --app leela:shares=90 --app cpuburn:shares=10 --csv ${CSV}
   RESULT_VARIABLE rc
   OUTPUT_QUIET)
