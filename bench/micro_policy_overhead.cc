@@ -169,11 +169,11 @@ void BM_ThermalModelUpdate(perf::State& state) {
 PAPD_PERF_BENCH(BM_ThermalModelUpdate);
 
 void BM_GovernorOndemandDecide(perf::State& state) {
-  OndemandGovernor gov(GovernorLimits{});
+  const PStateTable grid = SkylakeXeon4114().PStates();
   double util = 0.3;
   for (auto _ : state) {
     util = util < 0.9 ? util + 0.01 : 0.1;
-    perf::DoNotOptimize(gov.Decide(util, Mhz{2000.0}));
+    perf::DoNotOptimize(GovernorDecision(GovernorKind::kOndemand, grid, util, Mhz{2000.0}));
   }
 }
 PAPD_PERF_BENCH(BM_GovernorOndemandDecide);

@@ -74,8 +74,6 @@ Fleet::Fleet(FleetConfig cfg) : cfg_(std::move(cfg)), arbiter_(FleetConfig::slo)
   proto.audit = false;  // The per-socket daemon auditor is slow at 256+ sockets.
   proto.websearch = true;
   proto.websearch_params.open_loop.enabled = true;
-  proto.websearch_params.open_loop.requests_per_user_per_day =
-      FleetConfig::requests_per_user_per_day;
   proto.websearch_params.open_loop.shape = cfg_.shape;
   proto.websearch_params.open_loop.diurnal_amplitude = cfg_.diurnal_amplitude;
   proto.websearch_params.open_loop.diurnal_period_s = cfg_.diurnal_period_s;

@@ -46,6 +46,7 @@
 #include "src/experiments/harness.h"
 #include "src/obs/metrics.h"
 #include "src/policy/slo_feedback.h"
+#include "src/specsim/websearch.h"
 
 namespace papd {
 
@@ -68,7 +69,8 @@ struct FleetConfig {
   // grant but over it at the equal static split, which is exactly the
   // regime where feeding latency back into the split matters.
   double users = 1e8;
-  static constexpr double requests_per_user_per_day = 20.0;
+  static constexpr double requests_per_user_per_day =
+      WebSearch::OpenLoop::requests_per_user_per_day;
   ArrivalShape shape = ArrivalShape::kConstant;
   double diurnal_amplitude = 0.5;
   Seconds diurnal_period_s{86400.0};

@@ -25,6 +25,45 @@ void Appendf(std::string* out, const char* fmt, ...) {
   va_end(args);
 }
 
+std::string Quote(std::string_view s) {
+  std::string out;
+  out.reserve(s.size() + 2);
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\b':
+        out += "\\b";
+        break;
+      case '\f':
+        out += "\\f";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          Appendf(&out, "\\u%04X", static_cast<unsigned>(c));
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+  return out;
+}
+
 const Value* Value::Find(const std::string& key) const {
   if (!is_object()) {
     return nullptr;

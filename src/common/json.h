@@ -6,14 +6,16 @@
 // parser for exactly that job: strict enough for well-formed documents,
 // with position-carrying error messages, and nothing else — no SAX
 // interface, no mutation, no writer (writers stay printf at the producers,
-// through Appendf below).  Documents it did not produce (NaN/Infinity
-// literals, comments, trailing commas) are rejected.
+// through Appendf below, and write every string that can hold caller text
+// through Quote, so a name never breaks the document).  Documents it did not
+// produce (NaN/Infinity literals, comments, trailing commas) are rejected.
 
 #ifndef SRC_COMMON_JSON_H_
 #define SRC_COMMON_JSON_H_
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -84,6 +86,11 @@ ParseResult Parse(const std::string& text);
 
 // Appends printf-formatted text to *out, however long it formats to.
 void Appendf(std::string* out, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
+
+// `s` as a JSON string, quotes included (RFC 8259 §7): `"` and `\` are
+// escaped, as are `\n`, `\r`, `\t`, `\b` and `\f`; any other byte below 0x20
+// is written `\u00XX`, and every other byte is copied.
+std::string Quote(std::string_view s);
 
 }  // namespace json
 }  // namespace papd

@@ -5,7 +5,8 @@
 namespace papd {
 namespace {
 
-LogLevel g_level = LogLevel::kWarning;
+// Messages below this level are dropped.
+constexpr LogLevel kThreshold = LogLevel::kWarning;
 
 const char* LevelName(LogLevel level) {
   switch (level) {
@@ -23,12 +24,8 @@ const char* LevelName(LogLevel level) {
 
 }  // namespace
 
-LogLevel GetLogLevel() { return g_level; }
-
-void SetLogLevel(LogLevel level) { g_level = level; }
-
 void Logf(LogLevel level, const char* fmt, ...) {
-  if (level < g_level) {
+  if (level < kThreshold) {
     return;
   }
   std::fprintf(stderr, "[papd %s] ", LevelName(level));

@@ -13,11 +13,7 @@ namespace papd {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
-// Gets/sets the global threshold; messages below it are dropped.
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
-
-// printf-style logging to stderr.
+// printf-style logging to stderr; debug and info messages are dropped.
 void Logf(LogLevel level, const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
 #define PAPD_LOG_DEBUG(...) ::papd::Logf(::papd::LogLevel::kDebug, __VA_ARGS__)

@@ -80,7 +80,7 @@ struct ScenarioConfig {
   // Statistics are collected over [warmup_s, warmup_s + measure_s].
   Seconds warmup_s{20.0};
   Seconds measure_s{120.0};
-  Seconds daemon_period_s{1.0};
+  static constexpr Seconds daemon_period_s{1.0};
   Mhz static_mhz{0.0};  // PolicyKind::kStatic.
   PriorityPolicy::Options priority;
   uint64_t seed = 42;

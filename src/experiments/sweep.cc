@@ -15,27 +15,7 @@ namespace papd {
 namespace {
 
 using json::Appendf;
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
+using json::Quote;
 
 // Compact axis-value formatting: "2e+08" style for populations, plain for
 // watts; shared by names and plotgroups so the two always agree.
@@ -103,9 +83,9 @@ void AppendSummaryJson(const RunSummary& s, std::string* out) {
     for (size_t i = 0; i < s.apps.size(); ++i) {
       const AppResult& a = s.apps[i];
       Appendf(out,
-              "%s{\"name\":\"%s\",\"cpu\":%d,\"norm_perf\":%.4f,"
+              "%s{\"name\":%s,\"cpu\":%d,\"norm_perf\":%.4f,"
               "\"avg_active_mhz\":%.1f}",
-              i == 0 ? "" : ",", JsonEscape(a.name).c_str(), a.cpu, a.norm_perf,
+              i == 0 ? "" : ",", Quote(a.name).c_str(), a.cpu, a.norm_perf,
               a.avg_active_mhz.value());
     }
     out->append("]");
@@ -266,18 +246,17 @@ SweepResult RunSweep(const SweepSpec& spec, ThreadPool* pool) {
 
 std::string SweepResultToJson(const SweepResult& result) {
   std::string out;
-  Appendf(&out, "{\n\"sweep\": \"%s\",\n\"target\": \"%s\",\n\"points\": [\n",
-          JsonEscape(result.name).c_str(), SweepTargetName(result.target));
+  Appendf(&out, "{\n\"sweep\": %s,\n\"target\": \"%s\",\n\"points\": [\n",
+          Quote(result.name).c_str(), SweepTargetName(result.target));
   for (size_t i = 0; i < result.points.size(); ++i) {
     const SweepPointResult& pr = result.points[i];
     Appendf(&out,
-            "{\"name\":\"%s\",\"plotgroup\":\"%s\",\"plotkey\":\"%s\","
-            "\"users\":%g,\"cap_w\":%.4f,\"shape\":\"%s\",\"policy\":\"%s\","
+            "{\"name\":%s,\"plotgroup\":%s,\"plotkey\":%s,"
+            "\"users\":%g,\"cap_w\":%.4f,\"shape\":\"%s\",\"policy\":%s,"
             "\"summary\":",
-            JsonEscape(pr.point.name).c_str(), JsonEscape(pr.point.plotgroup).c_str(),
-            JsonEscape(pr.point.plotkey).c_str(), pr.point.users,
-            pr.point.cap_w.value(), ArrivalShapeName(pr.point.shape),
-            JsonEscape(pr.point.policy).c_str());
+            Quote(pr.point.name).c_str(), Quote(pr.point.plotgroup).c_str(),
+            Quote(pr.point.plotkey).c_str(), pr.point.users, pr.point.cap_w.value(),
+            ArrivalShapeName(pr.point.shape), Quote(pr.point.policy).c_str());
     AppendSummaryJson(pr.summary, &out);
     if (result.target == SweepTarget::kFleet) {
       Appendf(&out,
@@ -288,12 +267,12 @@ std::string SweepResultToJson(const SweepResult& result) {
       for (size_t s = 0; s < pr.sockets.size(); ++s) {
         const FleetSocketResult& sr = pr.sockets[s];
         Appendf(&out,
-                "%s{\"path\":\"%s\",\"hot\":%s,\"grant_w\":%.3f,"
+                "%s{\"path\":%s,\"hot\":%s,\"grant_w\":%.3f,"
                 "\"p50_s\":%.6f,\"p90_s\":%.6f,\"p99_s\":%.6f,"
                 "\"completed\":%zu,\"arrivals\":%" PRIu64
                 ",\"slo_violation_periods\":%zu,\"measured_periods\":%zu,"
                 "\"mean_queue_depth\":%.3f,\"peak_queue_depth\":%zu}",
-                s == 0 ? "" : ",\n", JsonEscape(sr.path).c_str(),
+                s == 0 ? "" : ",\n", Quote(sr.path).c_str(),
                 sr.hot ? "true" : "false", sr.grant_w.value(), sr.p50.value(),
                 sr.p90.value(), sr.p99.value(), sr.completed, sr.arrivals,
                 sr.slo_violation_periods, sr.measured_periods,

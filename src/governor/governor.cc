@@ -1,7 +1,6 @@
 #include "src/governor/governor.h"
 
 #include <algorithm>
-#include <cmath>
 #include <vector>
 
 #include "src/common/check.h"
@@ -21,44 +20,7 @@ constexpr double kConservativeDownThreshold = 0.20;
 // Conservative: step per decision as a fraction of the frequency range.
 constexpr double kConservativeFreqStep = 0.05;
 
-Mhz Quantize(Mhz mhz, const GovernorLimits& limits) {
-  const double steps = std::round((mhz - limits.min_mhz) / limits.step_mhz);
-  return std::clamp(limits.min_mhz + steps * limits.step_mhz, limits.min_mhz, limits.max_mhz);
-}
-
 }  // namespace
-
-Mhz PerformanceGovernor::Decide(double utilization, Mhz current_mhz) {
-  (void)utilization;
-  (void)current_mhz;
-  return limits_.max_mhz;
-}
-
-Mhz PowersaveGovernor::Decide(double utilization, Mhz current_mhz) {
-  (void)utilization;
-  (void)current_mhz;
-  return limits_.min_mhz;
-}
-
-Mhz OndemandGovernor::Decide(double utilization, Mhz current_mhz) {
-  (void)current_mhz;
-  if (utilization >= kOndemandUpThreshold) {
-    return limits_.max_mhz;
-  }
-  return Quantize(utilization * limits_.max_mhz / kOndemandHeadroom, limits_);
-}
-
-Mhz ConservativeGovernor::Decide(double utilization, Mhz current_mhz) {
-  const Mhz step =
-      std::max(limits_.step_mhz, kConservativeFreqStep * (limits_.max_mhz - limits_.min_mhz));
-  if (utilization >= kConservativeUpThreshold) {
-    return Quantize(current_mhz + step, limits_);
-  }
-  if (utilization <= kConservativeDownThreshold) {
-    return Quantize(current_mhz - step, limits_);
-  }
-  return Quantize(current_mhz, limits_);
-}
 
 const char* GovernorKindName(GovernorKind kind) {
   switch (kind) {
@@ -74,39 +36,47 @@ const char* GovernorKindName(GovernorKind kind) {
   return "?";
 }
 
-std::unique_ptr<FreqGovernor> MakeGovernor(GovernorKind kind, GovernorLimits limits) {
+Mhz GovernorDecision(GovernorKind kind, const PStateTable& grid, double utilization,
+                     Mhz current_mhz) {
   switch (kind) {
     case GovernorKind::kPerformance:
-      return std::make_unique<PerformanceGovernor>(limits);
+      return grid.max_mhz();
     case GovernorKind::kPowersave:
-      return std::make_unique<PowersaveGovernor>(limits);
+      return grid.min_mhz();
     case GovernorKind::kOndemand:
-      return std::make_unique<OndemandGovernor>(limits);
-    case GovernorKind::kConservative:
-      return std::make_unique<ConservativeGovernor>(limits);
+      if (utilization >= kOndemandUpThreshold) {
+        return grid.max_mhz();
+      }
+      return grid.QuantizeNearest(utilization * grid.max_mhz() / kOndemandHeadroom);
+    case GovernorKind::kConservative: {
+      const Mhz step =
+          std::max(grid.step_mhz(), kConservativeFreqStep * (grid.max_mhz() - grid.min_mhz()));
+      if (utilization >= kConservativeUpThreshold) {
+        return grid.QuantizeNearest(current_mhz + step);
+      }
+      if (utilization <= kConservativeDownThreshold) {
+        return grid.QuantizeNearest(current_mhz - step);
+      }
+      return grid.QuantizeNearest(current_mhz);
+    }
   }
-  return nullptr;
+  PAPD_CHECK(false) << " GovernorKind " << static_cast<int>(kind) << " unknown";
+  return grid.min_mhz();
 }
 
 namespace {
 
-// One governor of `kind` per managed app, deciding for the app's core.
+// The `kind` governor on each managed app's core.
 class GovernorPolicy : public ShareResource {
  public:
   GovernorPolicy(GovernorKind kind, const PlatformSpec& spec)
-      : kind_(kind),
-        limits_{.min_mhz = spec.min_mhz, .max_mhz = spec.turbo_max_mhz, .step_mhz = spec.step_mhz},
-        start_mhz_(spec.base_max_mhz) {}
+      : kind_(kind), grid_(spec.PStates()), start_mhz_(spec.base_max_mhz) {}
 
   std::string Name() const override { return GovernorKindName(kind_); }
 
   std::vector<Mhz> InitialDistribution(const std::vector<ManagedApp>& apps,
                                        Watts limit_w) override {
     (void)limit_w;
-    governors_.clear();
-    for (size_t i = 0; i < apps.size(); i++) {
-      governors_.push_back(MakeGovernor(kind_, limits_));
-    }
     requests_.assign(apps.size(), start_mhz_);
     return requests_;
   }
@@ -121,23 +91,22 @@ class GovernorPolicy : public ShareResource {
         continue;  // Hold this core; its busy reading is not this period's.
       }
       Mhz& request = requests_[i];
-      request = governors_[i]->Decide(core.busy, request);
+      request = GovernorDecision(kind_, grid_, core.busy, request);
       PAPD_CHECK(IsFinite(request)) << " governor decision for core " << c << " is non-finite";
-      PAPD_CHECK_GE(request, limits_.min_mhz) << " governor decision for core " << c;
-      PAPD_CHECK_LE(request, limits_.max_mhz) << " governor decision for core " << c;
-      PAPD_CHECK(OnFrequencyGrid(request - limits_.min_mhz, limits_.step_mhz))
+      PAPD_CHECK_GE(request, grid_.min_mhz()) << " governor decision for core " << c;
+      PAPD_CHECK_LE(request, grid_.max_mhz()) << " governor decision for core " << c;
+      PAPD_CHECK(grid_.OnGrid(request))
           << " governor decision " << request << " MHz for core " << c << " off the "
-          << limits_.step_mhz << " MHz grid";
+          << grid_.step_mhz() << " MHz grid";
     }
     return requests_;
   }
 
  private:
   GovernorKind kind_;
-  GovernorLimits limits_;
+  PStateTable grid_;
   Mhz start_mhz_;
-  std::vector<std::unique_ptr<FreqGovernor>> governors_;  // Per app.
-  std::vector<Mhz> requests_;                             // Per app.
+  std::vector<Mhz> requests_;  // Per app.
 };
 
 }  // namespace

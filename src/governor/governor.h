@@ -12,91 +12,40 @@
 // delivery.
 //
 // Each governor is a pure decision function from the previous decision and
-// the core's measured C0 utilization to the next frequency request.
-// StartGovernor runs one per core as a PowerDaemon policy, so the governors
-// share the daemon's sampling, degradation ladder, P-state programming and
-// tracing with the paper's policies.
+// the core's measured C0 utilization to the next frequency request on the
+// platform's P-state grid (GovernorDecision).  StartGovernor runs one per
+// core as a PowerDaemon policy, so the governors share the daemon's
+// sampling, degradation ladder, P-state programming and tracing with the
+// paper's policies.
 
 #ifndef SRC_GOVERNOR_GOVERNOR_H_
 #define SRC_GOVERNOR_GOVERNOR_H_
 
 #include <memory>
-#include <string>
 
 #include "src/common/units.h"
 #include "src/msr/msr.h"
+#include "src/platform/pstate.h"
 #include "src/policy/daemon.h"
 
 namespace papd {
-
-struct GovernorLimits {
-  Mhz min_mhz{800};
-  Mhz max_mhz{3000};
-  Mhz step_mhz{100};
-};
-
-class FreqGovernor {
- public:
-  virtual ~FreqGovernor() = default;
-
-  virtual std::string Name() const = 0;
-
-  // Next frequency request given the core's utilization (C0 fraction, 0..1)
-  // over the last sample period and the current request.
-  virtual Mhz Decide(double utilization, Mhz current_mhz) = 0;
-};
-
-// Always the maximum frequency.
-class PerformanceGovernor : public FreqGovernor {
- public:
-  explicit PerformanceGovernor(GovernorLimits limits) : limits_(limits) {}
-  std::string Name() const override { return "performance"; }
-  Mhz Decide(double utilization, Mhz current_mhz) override;
-
- private:
-  GovernorLimits limits_;
-};
-
-// Always the minimum frequency.
-class PowersaveGovernor : public FreqGovernor {
- public:
-  explicit PowersaveGovernor(GovernorLimits limits) : limits_(limits) {}
-  std::string Name() const override { return "powersave"; }
-  Mhz Decide(double utilization, Mhz current_mhz) override;
-
- private:
-  GovernorLimits limits_;
-};
-
-// Linux ondemand: jump to max at 80% utilization, otherwise request
-// proportional-to-utilization with headroom (thresholds in governor.cc).
-class OndemandGovernor : public FreqGovernor {
- public:
-  explicit OndemandGovernor(GovernorLimits limits) : limits_(limits) {}
-  std::string Name() const override { return "ondemand"; }
-  Mhz Decide(double utilization, Mhz current_mhz) override;
-
- private:
-  GovernorLimits limits_;
-};
-
-// Linux conservative: like ondemand but moves in steps instead of jumping
-// (thresholds and step in governor.cc).
-class ConservativeGovernor : public FreqGovernor {
- public:
-  explicit ConservativeGovernor(GovernorLimits limits) : limits_(limits) {}
-  std::string Name() const override { return "conservative"; }
-  Mhz Decide(double utilization, Mhz current_mhz) override;
-
- private:
-  GovernorLimits limits_;
-};
 
 enum class GovernorKind { kPerformance, kPowersave, kOndemand, kConservative };
 
 const char* GovernorKindName(GovernorKind kind);
 
-std::unique_ptr<FreqGovernor> MakeGovernor(GovernorKind kind, GovernorLimits limits);
+// The `kind` governor's next frequency request for a core whose utilization
+// (C0 fraction, 0..1) over the last sample period was `utilization` and whose
+// current request is `current_mhz`.  The result is always a point of `grid`:
+//   performance   the grid maximum;
+//   powersave     the grid minimum;
+//   ondemand      (Linux ondemand) the maximum from 80% utilization up,
+//                 otherwise proportional to utilization with headroom;
+//   conservative  (Linux conservative) like ondemand, but moves one step up
+//                 or down instead of jumping, and holds in between.
+// Thresholds and the conservative step are in governor.cc.
+Mhz GovernorDecision(GovernorKind kind, const PStateTable& grid, double utilization,
+                     Mhz current_mhz);
 
 // How often a governed socket samples and decides (Linux cpufreq samples
 // every tens of milliseconds).

@@ -28,8 +28,7 @@ void ThermalDaemon::Step() {
       if (!core.online) {
         continue;
       }
-      const Mhz current{
-          static_cast<double>((msr_->Read(kMsrIa32PerfCtl, core.cpu) >> 8) & 0xFF) * 100.0};
+      const Mhz current = msr_->ReadPerfTargetMhz(core.cpu);
       if (core.temp_c > config_.limit_c) {
         msr_->WritePerfTargetMhz(core.cpu,
                                  std::max(spec.min_mhz, current - spec.step_mhz));

@@ -15,6 +15,17 @@ uint64_t EnergyToRaplCounter(Joules j) {
   return static_cast<uint64_t>(std::llround(units)) & 0xFFFFFFFFULL;
 }
 
+// IA32_PERF_CTL: the target ratio in bits [15:8], in 100 MHz units.  The
+// one place the register format is written down; code outside MsrFile
+// reads and writes it through WritePerfTargetMhz / ReadPerfTargetMhz.
+uint64_t EncodePerfCtl(Mhz mhz) {
+  return (static_cast<uint64_t>(std::llround(mhz.value() / 100.0)) & 0xFF) << 8;
+}
+
+Mhz DecodePerfCtl(uint64_t value) {
+  return Mhz{static_cast<double>((value >> 8) & 0xFF) * 100.0};
+}
+
 [[noreturn]] void GeneralProtectionFault(uint32_t reg,
                                          const char* what = "access to unsupported MSR") {
   PAPD_LOG_ERROR("#GP: %s 0x%x", what, reg);
@@ -81,10 +92,8 @@ uint64_t MsrFile::Read(uint32_t reg, int cpu) const {
       }
       return v;
     }
-    case kMsrIa32PerfCtl: {
-      const Mhz mhz{package_->core(cpu).requested_mhz()};
-      return (static_cast<uint64_t>(std::llround(mhz.value() / 100.0)) & 0xFF) << 8;
-    }
+    case kMsrIa32PerfCtl:
+      return EncodePerfCtl(package_->core(cpu).requested_mhz());
     case kMsrIa32ThermStatus: {
       // Digital readout in bits [22:16]: degrees below the junction limit.
       const double below =
@@ -132,8 +141,7 @@ void MsrFile::Write(uint32_t reg, int cpu, uint64_t value) {
         package_->NotifyControlPlaneEvent();
         return;
       }
-      const Mhz mhz{static_cast<double>((value >> 8) & 0xFF) * 100.0};
-      package_->SetRequestedMhz(cpu, mhz);
+      package_->SetRequestedMhz(cpu, DecodePerfCtl(value));
       return;
     }
     case kMsrPkgPowerLimit: {
@@ -189,7 +197,11 @@ void MsrFile::Write(uint32_t reg, int cpu, uint64_t value) {
 }
 
 void MsrFile::WritePerfTargetMhz(int cpu, Mhz mhz) {
-  Write(kMsrIa32PerfCtl, cpu, (static_cast<uint64_t>(std::llround(mhz.value() / 100.0)) & 0xFF) << 8);
+  Write(kMsrIa32PerfCtl, cpu, EncodePerfCtl(mhz));
+}
+
+Mhz MsrFile::ReadPerfTargetMhz(int cpu) const {
+  return DecodePerfCtl(Read(kMsrIa32PerfCtl, cpu));
 }
 
 void MsrFile::WritePstateDefMhz(int slot, Mhz mhz) {

@@ -59,8 +59,10 @@ class MsrFile {
 
   // --- Typed helpers ---------------------------------------------------------
   // Intel-style direct P-state request; only valid when the platform has no
-  // simultaneous-P-state restriction.
+  // simultaneous-P-state restriction.  The read decodes what the write
+  // encodes: the core's request in the register's 100 MHz units.
   void WritePerfTargetMhz(int cpu, Mhz mhz);
+  Mhz ReadPerfTargetMhz(int cpu) const;
 
   // AMD-style: redefine P-state slot (0..2) and point cores at slots.
   void WritePstateDefMhz(int slot, Mhz mhz);

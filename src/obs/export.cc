@@ -134,8 +134,8 @@ std::string MetricsJson(const MetricsSnapshot& metrics) {
     }
     first = false;
     if (m.kind == MetricValue::Kind::kHistogram) {
-      Appendf(&out, "\"%s\": {\"count\": %llu, \"sum\": %g, \"buckets\": [", m.name.c_str(),
-              static_cast<unsigned long long>(m.count), m.value);
+      Appendf(&out, "%s: {\"count\": %llu, \"sum\": %g, \"buckets\": [",
+              json::Quote(m.name).c_str(), static_cast<unsigned long long>(m.count), m.value);
       for (size_t b = 0; b < m.bucket_counts.size(); b++) {
         out.append(b > 0 ? ", [" : "[");
         if (b < m.upper_bounds.size()) {
@@ -147,7 +147,7 @@ std::string MetricsJson(const MetricsSnapshot& metrics) {
       }
       out.append("]}");
     } else {
-      Appendf(&out, "\"%s\": %g", m.name.c_str(), m.value);
+      Appendf(&out, "%s: %g", json::Quote(m.name).c_str(), m.value);
     }
   }
   out.append("}");

@@ -324,8 +324,7 @@ bool PowerDaemon::VerifyProgrammed(const std::vector<Mhz>& want) const {
       const int slot = static_cast<int>(msr_->Read(kMsrAmdPstateCtl, apps_[i].cpu));
       readback_mhz = msr_->ReadPstateDefMhz(slot);
     } else {
-      readback_mhz =
-          Mhz{static_cast<double>((msr_->Read(kMsrIa32PerfCtl, apps_[i].cpu) >> 8) & 0xFF) * 100.0};
+      readback_mhz = msr_->ReadPerfTargetMhz(apps_[i].cpu);
     }
     if (readback_mhz != last_expected_mhz_[i]) {
       return false;

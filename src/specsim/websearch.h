@@ -50,7 +50,7 @@ class WebSearch : public MultiCoreWork {
   struct OpenLoop {
     bool enabled = false;
     double users = 1e6;
-    double requests_per_user_per_day = 20.0;
+    static constexpr double requests_per_user_per_day = 20.0;
     ArrivalShape shape = ArrivalShape::kConstant;
     // kDiurnal: rate = mean * (1 + amplitude * sin(2*pi*(t + phase)/period)),
     // amplitude in [0, 1], period > 0 and phase finite (checked at
@@ -67,19 +67,19 @@ class WebSearch : public MultiCoreWork {
 
   struct Params {
     int users = 300;
-    Seconds think_mean_s{2.0};
+    static constexpr Seconds think_mean_s{2.0};
     // Mean service demand per request, in millions of cycles.  Calibrated
     // so the 300-user load runs the 9 worker cores at ~70-75% utilization
     // at full frequency (the paper's websearch draws 44 W on 9 cores at
     // 3 GHz, i.e. it is close to capacity) — which is what makes p90
     // latency collapse once a power cap throttles the workers.
-    double service_mcycles_mean = 120.0;
+    static constexpr double service_mcycles_mean = 120.0;
     // Frequency-independent part of the response time.
-    Seconds fixed_latency_s{0.003};
+    static constexpr Seconds fixed_latency_s{0.003};
     // Instructions retired per cycle while serving.
-    double ipc = 1.0;
+    static constexpr double ipc = 1.0;
     // Dynamic-power activity factor while serving.
-    double activity = 0.65;
+    static constexpr double activity = 0.65;
     OpenLoop open_loop;
 
     bool operator==(const Params&) const = default;

@@ -269,8 +269,8 @@ const ConfigMutation kConfigMutations[] = {
      [](RackSocketConfig* c) { c->platform.power.ceff_w_per_v2ghz *= 1.5; }},
     {"one app's shares", SplitSocket, [](RackSocketConfig* c) { c->apps[3].shares = 90.0; }},
     {"seed", SplitSocket, [](RackSocketConfig* c) { c->seed = 43; }},
-    {"websearch think_mean_s", ServingSocket,
-     [](RackSocketConfig* c) { c->websearch_params.think_mean_s = Seconds{2.5}; }},
+    {"websearch users", ServingSocket,
+     [](RackSocketConfig* c) { c->websearch_params.users = 250; }},
     {"open_loop.shape_phase_s", DiurnalServingSocket,
      [](RackSocketConfig* c) { c->websearch_params.open_loop.shape_phase_s = Seconds{1.5}; }},
 };

@@ -9,33 +9,36 @@
 #include "src/governor/governor.h"
 #include "src/msr/fault_plan.h"
 #include "src/obs/trace.h"
+#include "src/platform/platform_spec.h"
+#include "src/platform/pstate.h"
 #include "src/specsim/spec2017.h"
 #include "src/specsim/workload.h"
 
 namespace papd {
 namespace {
 
-GovernorLimits Limits() { return GovernorLimits{.min_mhz = Mhz{800}, .max_mhz = Mhz{3000}, .step_mhz = Mhz{100}}; }
+// The Skylake Xeon 4114 grid: 800-3000 MHz in 100 MHz steps.
+PStateTable Grid() { return PStateTable(Mhz{800}, Mhz{3000}, Mhz{100}); }
 
 TEST(Governors, PerformanceAlwaysMax) {
-  PerformanceGovernor g(Limits());
-  EXPECT_DOUBLE_EQ(g.Decide(0.0, Mhz{1500}).value(), 3000.0);
-  EXPECT_DOUBLE_EQ(g.Decide(1.0, Mhz{800}).value(), 3000.0);
+  EXPECT_DOUBLE_EQ(GovernorDecision(GovernorKind::kPerformance, Grid(), 0.0, Mhz{1500}).value(),
+                   3000.0);
+  EXPECT_DOUBLE_EQ(GovernorDecision(GovernorKind::kPerformance, Grid(), 1.0, Mhz{800}).value(),
+                   3000.0);
 }
 
 TEST(Governors, PowersaveAlwaysMin) {
-  PowersaveGovernor g(Limits());
-  EXPECT_DOUBLE_EQ(g.Decide(1.0, Mhz{3000}).value(), 800.0);
+  EXPECT_DOUBLE_EQ(GovernorDecision(GovernorKind::kPowersave, Grid(), 1.0, Mhz{3000}).value(),
+                   800.0);
 }
 
 TEST(Governors, OndemandJumpsToMaxWhenBusy) {
-  OndemandGovernor g(Limits());
-  EXPECT_DOUBLE_EQ(g.Decide(0.95, Mhz{800}).value(), 3000.0);
+  EXPECT_DOUBLE_EQ(GovernorDecision(GovernorKind::kOndemand, Grid(), 0.95, Mhz{800}).value(),
+                   3000.0);
 }
 
 TEST(Governors, OndemandProportionalWhenIdle) {
-  OndemandGovernor g(Limits());
-  const Mhz f{g.Decide(0.40, Mhz{3000})};
+  const Mhz f{GovernorDecision(GovernorKind::kOndemand, Grid(), 0.40, Mhz{3000})};
   EXPECT_LT(f, Mhz{3000.0});
   EXPECT_GE(f, Mhz{800.0});
   // ~ util * max / headroom = 0.4 * 3000 / 0.8 = 1500.
@@ -43,30 +46,66 @@ TEST(Governors, OndemandProportionalWhenIdle) {
 }
 
 TEST(Governors, ConservativeStepsGradually) {
-  ConservativeGovernor g(Limits());
-  const Mhz up{g.Decide(0.95, Mhz{1500})};
+  const PStateTable grid = Grid();
+  const Mhz up{GovernorDecision(GovernorKind::kConservative, grid, 0.95, Mhz{1500})};
   EXPECT_GT(up, Mhz{1500.0});
   EXPECT_LT(up, Mhz{3000.0});  // One step, not a jump.
-  const Mhz down{g.Decide(0.05, Mhz{1500})};
+  const Mhz down{GovernorDecision(GovernorKind::kConservative, grid, 0.05, Mhz{1500})};
   EXPECT_LT(down, Mhz{1500.0});
   EXPECT_GT(down, Mhz{800.0});
-  const Mhz hold{g.Decide(0.50, Mhz{1500})};
+  const Mhz hold{GovernorDecision(GovernorKind::kConservative, grid, 0.50, Mhz{1500})};
   EXPECT_DOUBLE_EQ(hold.value(), 1500.0);
 }
 
 TEST(Governors, ConservativeClampsAtRangeEnds) {
-  ConservativeGovernor g(Limits());
-  EXPECT_DOUBLE_EQ(g.Decide(0.99, Mhz{3000}).value(), 3000.0);
-  EXPECT_DOUBLE_EQ(g.Decide(0.01, Mhz{800}).value(), 800.0);
+  EXPECT_DOUBLE_EQ(
+      GovernorDecision(GovernorKind::kConservative, Grid(), 0.99, Mhz{3000}).value(), 3000.0);
+  EXPECT_DOUBLE_EQ(
+      GovernorDecision(GovernorKind::kConservative, Grid(), 0.01, Mhz{800}).value(), 800.0);
 }
 
-TEST(Governors, FactoryProducesAllKinds) {
-  for (GovernorKind kind :
-       {GovernorKind::kPerformance, GovernorKind::kPowersave, GovernorKind::kOndemand,
-        GovernorKind::kConservative}) {
-    auto g = MakeGovernor(kind, Limits());
-    ASSERT_NE(g, nullptr);
-    EXPECT_EQ(g->Name(), GovernorKindName(kind));
+// Every decision of every governor, on every preset's grid, from every grid
+// point and at every utilization in 0.01 steps, is a point of that grid;
+// the four rules hold at their thresholds.
+TEST(Governors, EveryDecisionIsAGridPointOnEveryPreset) {
+  for (const PlatformSpec& spec :
+       {SkylakeXeon4114(), Ryzen1700X(), ManyCoreXeon64(), ManyCoreEpyc128()}) {
+    SCOPED_TRACE(spec.name);
+    const PStateTable grid = spec.PStates();
+    for (GovernorKind kind :
+         {GovernorKind::kPerformance, GovernorKind::kPowersave, GovernorKind::kOndemand,
+          GovernorKind::kConservative}) {
+      SCOPED_TRACE(GovernorKindName(kind));
+      for (int u = 0; u <= 100; u++) {
+        const double utilization = u / 100.0;
+        for (size_t p = 0; p < grid.size(); p++) {
+          const Mhz current = grid.FrequencyOf(p);
+          const Mhz next = GovernorDecision(kind, grid, utilization, current);
+          ASSERT_TRUE(grid.OnGrid(next))
+              << next << " MHz at " << utilization << " from " << current;
+          ASSERT_GE(next, grid.min_mhz());
+          ASSERT_LE(next, grid.max_mhz());
+          switch (kind) {
+            case GovernorKind::kPerformance:
+              ASSERT_EQ(next, grid.max_mhz());
+              break;
+            case GovernorKind::kPowersave:
+              ASSERT_EQ(next, grid.min_mhz());
+              break;
+            case GovernorKind::kOndemand:
+              if (utilization >= 0.8) {
+                ASSERT_EQ(next, grid.max_mhz()) << " at " << utilization;
+              }
+              break;
+            case GovernorKind::kConservative:
+              if (utilization > 0.2 && utilization < 0.8) {
+                ASSERT_EQ(next, current) << " at " << utilization;
+              }
+              break;
+          }
+        }
+      }
+    }
   }
 }
 

@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "src/cpusim/package.h"
 #include "src/cpusim/simulator.h"
 #include "src/msr/msr.h"
+#include "src/platform/platform_spec.h"
+#include "src/platform/pstate.h"
 #include "src/specsim/spec2017.h"
 #include "src/specsim/workload.h"
 
@@ -20,6 +23,7 @@ TEST(MsrSkylake, PerfCtlRoundTrip) {
   EXPECT_DOUBLE_EQ(pkg.core(3).requested_mhz().value(), 1500.0);
   // Ratio field encodes hundreds of MHz.
   EXPECT_EQ(msr.Read(kMsrIa32PerfCtl, 3), (1500ull / 100) << 8);
+  EXPECT_DOUBLE_EQ(msr.ReadPerfTargetMhz(3).value(), 1500.0);
 }
 
 TEST(MsrSkylake, PerfCtlQuantizedByHardwareGrid) {
@@ -185,6 +189,54 @@ TEST(Msr, NowSecondsTracksPackageTime) {
   sim.Run(Seconds{0.25});
   EXPECT_NEAR(msr.NowSeconds().value(), 0.25, 1e-9);
 }
+
+// --- P-state grid round trip (ROADMAP item 1) ---------------------------------
+
+struct GridPreset {
+  std::string name;
+  PlatformSpec (*spec)();
+};
+
+// Keeps the ctest names free of the raw parameter bytes (a pointer).
+void PrintTo(const GridPreset& p, std::ostream* os) { *os << p.name; }
+
+class GridRoundTrip : public ::testing::TestWithParam<GridPreset> {};
+
+// Every point of the platform's P-state grid, written the way the daemon
+// programs it (a PERF_CTL target, or a P-state definition where the platform
+// limits simultaneous P-states), reads back unchanged through the decode
+// the daemon verifies with.
+TEST_P(GridRoundTrip, EveryGridPointReadsBack) {
+  const GridPreset& preset = GetParam();
+  if (preset.name == "epyc128") {
+    GTEST_SKIP() << "ManyCoreEpyc128's 25 MHz grid does not fit the 100 MHz PERF_CTL "
+                    "encoding (ROADMAP item 1)";
+  }
+  const PlatformSpec spec = preset.spec();
+  Package pkg(spec);
+  MsrFile msr(&pkg);
+  const PStateTable grid = spec.PStates();
+  for (size_t p = 0; p < grid.size(); p++) {
+    const Mhz mhz = grid.FrequencyOf(p);
+    if (spec.max_simultaneous_pstates > 0) {
+      const int slot = static_cast<int>(p % 3);
+      msr.WritePstateDefMhz(slot, mhz);
+      EXPECT_EQ(msr.ReadPstateDefMhz(slot), mhz) << "slot " << slot;
+    } else {
+      msr.WritePerfTargetMhz(0, mhz);
+      EXPECT_EQ(msr.ReadPerfTargetMhz(0), mhz);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Presets, GridRoundTrip,
+                         ::testing::Values(GridPreset{"skylake", SkylakeXeon4114},
+                                           GridPreset{"ryzen", Ryzen1700X},
+                                           GridPreset{"xeon64", ManyCoreXeon64},
+                                           GridPreset{"epyc128", ManyCoreEpyc128}),
+                         [](const ::testing::TestParamInfo<GridPreset>& info) {
+                           return info.param.name;
+                         });
 
 }  // namespace
 }  // namespace papd

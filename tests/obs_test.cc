@@ -208,6 +208,22 @@ TEST(Exporters, MetricsJsonLongNameParses) {
   EXPECT_DOUBLE_EQ(parsed.value.NumberOr(name, 0.0), 1.5);
 }
 
+// Metric names are JSON strings: a quote or a backslash in one is escaped,
+// so the document parses and the name reads back unchanged.
+TEST(Exporters, MetricsJsonQuotesNames) {
+  obs::MetricsRegistry registry;
+  registry.GetCounter("a\"b")->Increment();
+  registry.GetCounter("c\\d")->Increment();
+  registry.GetHistogram("e\"\\f", {1.0})->Observe(0.5);
+  const json::ParseResult parsed = json::Parse(obs::MetricsJson(registry.Export()));
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_DOUBLE_EQ(parsed.value.NumberOr("a\"b", 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(parsed.value.NumberOr("c\\d", 0.0), 1.0);
+  const json::Value* histogram = parsed.value.Find("e\"\\f");
+  ASSERT_NE(histogram, nullptr);
+  EXPECT_DOUBLE_EQ(histogram->NumberOr("count", 0.0), 1.0);
+}
+
 // A full device accepts fwrite into stdio's buffer and fails the flush in
 // fclose; that failure is a failed write.
 TEST(Exporters, WriteFileReportsFailedFlush) {

@@ -364,6 +364,54 @@ TEST(SweepJson, LongNamesRoundTrip) {
   EXPECT_EQ(jp.StringOr("policy", ""), "rapl");
 }
 
+// True if a byte below 0x20 appears raw inside a JSON string of `text`.
+bool RawControlByteInString(const std::string& text) {
+  bool in_string = false;
+  for (size_t i = 0; i < text.size(); i++) {
+    const unsigned char c = static_cast<unsigned char>(text[i]);
+    if (in_string && c < 0x20) {
+      return true;
+    }
+    if (c == '"') {
+      in_string = !in_string;
+    } else if (in_string && c == '\\') {
+      i++;  // The escaped byte.
+    }
+  }
+  return false;
+}
+
+// Control bytes in names are escaped (RFC 8259 §7): no string in the
+// artifact holds one raw, and every name reads back unchanged.
+TEST(SweepJson, ControlBytesInNamesAreEscaped) {
+  const std::string name = "tab\there\x01";
+  SweepResult result;
+  result.name = name;
+  result.target = SweepTarget::kFleet;
+  SweepPointResult p;
+  p.point.name = name;
+  p.point.plotgroup = name;
+  p.point.plotkey = name;
+  p.point.policy = name;
+  p.summary.apps.push_back(AppResult{.name = name});
+  FleetSocketResult sock;
+  sock.path = name;
+  p.sockets.push_back(sock);
+  result.points.push_back(std::move(p));
+
+  const std::string text = SweepResultToJson(result);
+  EXPECT_FALSE(RawControlByteInString(text)) << text;
+  const json::ParseResult parsed = json::Parse(text);
+  ASSERT_TRUE(parsed.ok) << parsed.error;
+  EXPECT_EQ(parsed.value.StringOr("sweep", ""), name);
+  const json::Value& jp = parsed.value.Find("points")->AsArray()[0];
+  for (const char* key : {"name", "plotgroup", "plotkey", "policy"}) {
+    EXPECT_EQ(jp.StringOr(key, ""), name) << key;
+  }
+  EXPECT_EQ(jp.Find("summary")->Find("apps")->AsArray()[0].StringOr("name", ""), name);
+  EXPECT_EQ(jp.Find("sockets")->AsArray()[0].StringOr("path", ""), name);
+}
+
 // An artifact that did not reach the disk aborts the run, as an unopenable
 // path always did.
 TEST(SweepJsonDeathTest, FailedWriteAborts) {
